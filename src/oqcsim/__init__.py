@@ -6,6 +6,6 @@ statistics, all verified against one NOT/CNOT truth-table oracle.
 
 __version__ = "0.1.0"
 
-from . import cli, jones, rds, spin, squeezed, truthtable
+from . import jones, rds, spin, squeezed, truthtable
 
-__all__ = ["cli", "jones", "rds", "spin", "squeezed", "truthtable"]
+__all__ = ["jones", "rds", "spin", "squeezed", "truthtable"]

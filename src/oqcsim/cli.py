@@ -24,7 +24,9 @@ from .truthtable import (
     NOT_TABLE,
     TruthTableReport,
     TruthTableRow,
+    bits_index,
     cnot_permutation,
+    index_bits,
     not_permutation,
     permutation_matrix,
 )
@@ -45,38 +47,98 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
+# Default of a key that must be given.
+_REQUIRED = object()
 
-def _strict(section, allowed, context):
+
+def _parse(section, table, context):
+    """Read a JSON object through a {key: (reader, default)} table.
+
+    Unknown keys are errors.  A missing key takes its default, which is
+    read like a given value, except that a key whose default is None is
+    optional: absent or null, it reads as None.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be an object")
     for key in section:
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f'unknown key "{key}" in {context}')
+    values = {}
+    for key, (reader, default) in table.items():
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f'{context} is missing required key "{key}"')
+        if value is None and default is None:
+            values[key] = None
+        else:
+            values[key] = reader(value, f'key "{key}" in {context}')
+    return values
 
 
-def _number(section, key, default, context):
-    v = section.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f'key "{key}" in {context} must be a number')
-    if not math.isfinite(v):
-        raise ConfigError(f'key "{key}" in {context} must be finite')
-    return float(v)
+def _check(test, noun):
+    """Reader that returns a JSON value unchanged if it passes test."""
+
+    def read(v, what):
+        if not test(v):
+            raise ConfigError(f"{what} must be {noun}")
+        return v
+
+    return read
 
 
-def _integer(section, key, default, context, minimum=None):
-    v = section.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f'key "{key}" in {context} must be an integer')
-    if minimum is not None and v < minimum:
-        raise ConfigError(f'key "{key}" in {context} must be >= {minimum}')
-    return v
+def _is_real(v):
+    # a JSON integer may be too large for a float; math.isfinite would raise
+    return (type(v) is float and math.isfinite(v)) or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
-def _complex_pair(section, key, default, context):
-    v = section.get(key, default)
-    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v)):
-        raise ConfigError(f'key "{key}" in {context} must be a [re, im] pair')
-    return complex(v[0], v[1])
+def _is_bits(v):
+    return isinstance(v, str) and v != "" and set(v) <= {"0", "1"}
+
+
+def _integer(minimum):
+    return _check(lambda v: type(v) is int and v >= minimum, f"an integer >= {minimum}")
+
+
+def _choice(*options):
+    return _check(lambda v: v in options, "one of " + ", ".join(map(json.dumps, options)))
+
+
+_string = _check(lambda v: isinstance(v, str), "a string")
+_boolean = _check(lambda v: isinstance(v, bool), "a boolean")
+_list = _check(lambda v: isinstance(v, list), "a list")
+_object = _check(lambda v: isinstance(v, dict), "an object")
+_bits = _check(_is_bits, "a nonempty bit string")
+_finite = _check(_is_real, "a finite number")
+
+
+def _number(v, what):
+    return float(_finite(v, what))
+
+
+def _complex_pair(v, what):
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ConfigError(f"{what} must be a [re, im] pair")
+    return complex(_number(v[0], what), _number(v[1], what))
+
+
+def _section(table, context):
+    return lambda v, what: _parse(v, table, context)
+
+
+_OUTPUT = {"path": (_string, None), "format": (_choice("csv", "json"), "csv")}
+_SWEEP = {
+    "parameter": (_string, _REQUIRED),
+    "start": (_number, _REQUIRED),
+    "stop": (_number, _REQUIRED),
+    "count": (_integer(2), _REQUIRED),
+}
+_CONFIG = {
+    "backend": (_choice(*BACKENDS), _REQUIRED),
+    "parameters": (_object, {}),
+    "output": (_section(_OUTPUT, "output"), None),
+    "seed": (_integer(0), 0),
+    "sweep": (_section(_SWEEP, "sweep"), None),
+}
 
 
 def load_config(path):
@@ -87,39 +149,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    _strict(raw, {"backend", "parameters", "output", "seed", "sweep"}, "config")
-    backend = raw.get("backend")
-    if backend not in BACKENDS:
-        raise ConfigError(f'key "backend" must be one of {", ".join(BACKENDS)}')
-    params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError('key "parameters" must be an object')
-    output = raw.get("output")
-    if output is not None:
-        _strict(output, {"path", "format"}, "output")
-        fmt = output.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError('output "format" must be "csv" or "json"')
-    seed = _integer(raw, "seed", 0, "config", minimum=0)
-    sweep = raw.get("sweep")
-    if sweep is not None:
-        _strict(sweep, {"parameter", "start", "stop", "count"}, "sweep")
-        if not isinstance(sweep.get("parameter"), str):
-            raise ConfigError('sweep "parameter" must be a string')
-        _number(sweep, "start", None, "sweep") if "start" in sweep else _missing("start")
-        _number(sweep, "stop", None, "sweep") if "stop" in sweep else _missing("stop")
-        _integer(sweep, "count", None, "sweep", minimum=2) if "count" in sweep else _missing("count")
-    return {
-        "backend": backend,
-        "parameters": params,
-        "output": output,
-        "seed": seed,
-        "sweep": sweep,
-    }
-
-
-def _missing(key):
-    raise ConfigError(f'sweep is missing required key "{key}"')
+    return _parse(raw, _CONFIG, "config")
 
 
 # ---------------------------------------------------------------- output
@@ -152,42 +182,52 @@ def payload_json(payload):
     return json.dumps(safe, indent=2) + "\n"
 
 
-def write_payload(payload, out_path, fmt):
-    text = payload_json(payload) if fmt == "json" else payload_csv(payload)
+def _write_text(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as f:
             f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}")
+
+
+def write_payload(payload, out_path, fmt):
+    _write_text(payload_json(payload) if fmt == "json" else payload_csv(payload), out_path)
 
 
 # ---------------------------------------------------------------- backends
 
+_SPIN = {
+    "j12": (_number, 0.1),
+    "gate": (_choice("not", "cnot"), None),
+    "target": (_integer(0), 1),
+    "control": (_integer(0), 0),
+    "initial": (_check(lambda v: _is_bits(v) and len(v) == 2, "a 2-bit string"), "00"),
+    "shots": (_integer(0), 0),
+}
+
+
+def _parse_spin(params):
+    return _parse(params, _SPIN, "spin parameters")
+
+
+def _spin_segments(q, gate):
+    if gate == "not":
+        return spin.compile_not(q["target"])
+    return spin.compile_cnot(q["control"], q["target"], q["j12"])
+
 
 def run_spin(params, seed):
-    ctx = "spin parameters"
-    _strict(params, {"b0", "j12", "gate", "target", "control", "initial", "shots"}, ctx)
-    b0 = _number(params, "b0", 1.0, ctx)
-    j12 = _number(params, "j12", 0.1, ctx)
-    initial = params.get("initial", "00")
-    if not (isinstance(initial, str) and set(initial) <= {"0", "1"} and len(initial) == 2):
-        raise ConfigError(f'key "initial" in {ctx} must be a 2-bit string')
-    shots = _integer(params, "shots", 0, ctx, minimum=0)
-    gate = params.get("gate")
-    if gate not in (None, "not", "cnot"):
-        raise ConfigError(f'key "gate" in {ctx} must be "not" or "cnot"')
-    state = spin.SpinState.basis(initial)
-    if gate == "not":
-        target = _integer(params, "target", 1, ctx, minimum=0)
-        state = spin.apply_sequence(state, spin.compile_not(target), j12)
-    elif gate == "cnot":
-        control = _integer(params, "control", 0, ctx, minimum=0)
-        target = _integer(params, "target", 1, ctx, minimum=0)
-        state = spin.apply_sequence(state, spin.compile_cnot(control, target, j12), j12)
+    q = _parse_spin(params)
+    state = spin.SpinState.basis(q["initial"])
+    if q["gate"] is not None:
+        state = spin.apply_sequence(state, _spin_segments(q, q["gate"]), q["j12"])
     columns = ["basis", "re", "im", "probability"]
     counts = None
-    if shots > 0:
-        counts = spin.measure(state, seed, shots)
+    if q["shots"] > 0:
+        counts = spin.measure(state, seed, q["shots"])
         columns.append("counts")
     rows = []
     for i, a in enumerate(state.amplitudes):
@@ -199,197 +239,171 @@ def run_spin(params, seed):
     return {"columns": columns, "rows": rows}
 
 
-def _parse_elements(raw, context):
-    if not isinstance(raw, list):
-        raise ConfigError(f"{context} must be a list")
-    elements = []
-    for i, e in enumerate(raw):
+def _modes(v, what):
+    return tuple(_integer(0)(m, what) for m in _list(v, what))
+
+
+def _pairs(v, what):
+    return np.array([_complex_pair(x, what) for x in _list(v, what)], dtype=complex)
+
+
+_INDEX = (_integer(0), _REQUIRED)
+# type -> (constructor, table of its keyword arguments)
+_ELEMENTS = {
+    "waveplate": (
+        jones.Waveplate, {"delta": (_number, 0.0), "theta": (_number, 0.0), "modes": (_modes, None)}
+    ),
+    "rotator": (jones.Rotator, {"angle": (_number, 0.0), "modes": (_modes, None)}),
+    "pbs_swap": (jones.PBSSwap, {"mode_a": _INDEX, "mode_b": _INDEX}),
+}
+# type -> (network builder called with the qubit count, table of its other arguments)
+_GATES = {
+    "not": (jones.not_network, {"qubit": _INDEX}),
+    "cnot": (jones.cnot_network, {"control": _INDEX, "target": _INDEX}),
+}
+
+_JONES = {
+    "basis": (_bits, "0"),
+    "input": (_pairs, None),
+    "elements": (_list, []),
+    "gates": (_list, []),
+}
+
+
+def _build(entries, kinds, context, *args):
+    """One constructor call per {"type": kind, **arguments} entry."""
+    built = []
+    for i, entry in enumerate(entries):
         ctx = f"{context}[{i}]"
-        if not isinstance(e, dict):
+        if not isinstance(entry, dict):
             raise ConfigError(f"{ctx} must be an object")
-        kind = e.get("type")
-        if kind == "waveplate":
-            _strict(e, {"type", "delta", "theta", "modes"}, ctx)
-            modes = e.get("modes")
-            elements.append(
-                jones.Waveplate(
-                    _number(e, "delta", 0.0, ctx),
-                    _number(e, "theta", 0.0, ctx),
-                    tuple(modes) if modes is not None else None,
-                )
-            )
-        elif kind == "rotator":
-            _strict(e, {"type", "angle", "modes"}, ctx)
-            modes = e.get("modes")
-            elements.append(
-                jones.Rotator(
-                    _number(e, "angle", 0.0, ctx),
-                    tuple(modes) if modes is not None else None,
-                )
-            )
-        elif kind == "pbs_swap":
-            _strict(e, {"type", "mode_a", "mode_b"}, ctx)
-            elements.append(
-                jones.PBSSwap(
-                    _integer(e, "mode_a", None, ctx, minimum=0),
-                    _integer(e, "mode_b", None, ctx, minimum=0),
-                )
-            )
-        else:
-            raise ConfigError(f'{ctx} has unknown element type "{kind}"')
-    return elements
+        kind = entry.get("type")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f'{ctx} has unknown type "{kind}"')
+        make, table = kinds[kind]
+        arguments = _parse({k: v for k, v in entry.items() if k != "type"}, table, ctx)
+        built.append(make(*args, **arguments))
+    return built
 
 
-def run_jones(params, seed):
+def _parse_jones(params):
     ctx = "jones parameters"
-    _strict(params, {"basis", "input", "elements", "gates"}, ctx)
-    if "input" in params:
-        raw = params["input"]
-        if not isinstance(raw, list):
-            raise ConfigError(f'key "input" in {ctx} must be a list of [re, im] pairs')
-        amps = np.array(
-            [_complex_pair({"a": pair}, "a", None, ctx) for pair in raw], dtype=complex
-        )
-    else:
-        basis = params.get("basis", "0")
-        if not (isinstance(basis, str) and basis and set(basis) <= {"0", "1"}):
-            raise ConfigError(f'key "basis" in {ctx} must be a nonempty bit string')
-        amps = np.zeros(2 ** len(basis), dtype=complex)
-        amps[int(basis, 2)] = 1.0
+    q = _parse(params, _JONES, ctx)
+    amps = q["input"]
+    if amps is None:
+        amps = np.zeros(2 ** len(q["basis"]), dtype=complex)
+        amps[int(q["basis"], 2)] = 1.0
     try:
         reg = jones.encode_state(amps)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}")
-    n = reg.n_qubits
-    elements = _parse_elements(params.get("elements", []), f"{ctx} elements")
-    gates_raw = params.get("gates", [])
-    if not isinstance(gates_raw, list):
-        raise ConfigError(f'key "gates" in {ctx} must be a list')
-    networks = []
-    for i, g in enumerate(gates_raw):
-        gctx = f"{ctx} gates[{i}]"
-        if not isinstance(g, dict):
-            raise ConfigError(f"{gctx} must be an object")
-        kind = g.get("type")
-        if kind == "not":
-            _strict(g, {"type", "qubit"}, gctx)
-            networks += jones.not_network(n, _integer(g, "qubit", None, gctx, minimum=0))
-        elif kind == "cnot":
-            _strict(g, {"type", "control", "target"}, gctx)
-            networks += jones.cnot_network(
-                n,
-                _integer(g, "control", None, gctx, minimum=0),
-                _integer(g, "target", None, gctx, minimum=0),
-            )
-        else:
-            raise ConfigError(f'{gctx} has unknown gate type "{kind}"')
-    reg = jones.apply_network(reg, elements + networks)
+    elements = _build(q["elements"], _ELEMENTS, f"{ctx} elements")
+    for network in _build(q["gates"], _GATES, f"{ctx} gates", reg.n_qubits):
+        elements += network
+    return reg, elements
+
+
+def run_jones(params, seed):
+    reg, elements = _parse_jones(params)
+    reg = jones.apply_network(reg, elements)
     rows = [list(r) for r in jones.register_csv_rows(reg)]
     return {"columns": ["mode", "polarization", "re", "im", "power"], "rows": rows}
 
 
-_RDS_KEYS = {
-    "kappa_a", "kappa_b", "dk_a", "dk_b",
-    "n_domains", "domain_length", "length", "grid_file",
-    "a1", "a2", "a3", "steps_per_domain", "sample_stride",
-    "gate", "beam_amplitude",
+_LENGTH = 'a positive number or "coherence"'
+_RDS = {
+    "kappa_a": (_number, 1.0),
+    "kappa_b": (_number, 1.0),
+    "dk_a": (_number, 2.0 * math.pi * 1e3),
+    "dk_b": (_number, 2.0 * math.pi * 1e3),
+    "n_domains": (_integer(1), 100),
+    "domain_length": (_check(lambda v: v == "coherence" or (_is_real(v) and v > 0), _LENGTH), None),
+    "length": (_number, None),
+    "grid_file": (_string, None),
+    "a1": (_complex_pair, [0.1, 0.0]),
+    "a2": (_complex_pair, [0.0, 0.0]),
+    "a3": (_complex_pair, [0.0, 0.0]),
+    "steps_per_domain": (_integer(1), rds.DEFAULT_STEPS_PER_DOMAIN),
+    "sample_stride": (_integer(1), 1),
+    "gate": (_choice("not", "cnot"), None),
+    "beam_amplitude": (_number, rds.DEFAULT_BEAM_AMPLITUDE),
 }
 
 
 def _parse_rds(params):
+    """Coupling parameters, domain grid, input fields and the parsed keys."""
     ctx = "rds parameters"
-    _strict(params, _RDS_KEYS, ctx)
-    dk_default = 2.0 * math.pi * 1e3
+    q = _parse(params, _RDS, ctx)
     try:
         p = rds.CoupledModeParams(
-            kappa_a=_number(params, "kappa_a", 1.0, ctx),
-            kappa_b=_number(params, "kappa_b", 1.0, ctx),
-            dk_a=_number(params, "dk_a", dk_default, ctx),
-            dk_b=_number(params, "dk_b", dk_default, ctx),
+            kappa_a=q["kappa_a"], kappa_b=q["kappa_b"], dk_a=q["dk_a"], dk_b=q["dk_b"]
         )
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}")
 
-    def resolve_dl():
-        dl = params.get("domain_length", "coherence")
-        if dl == "coherence":
-            try:
-                return rds.qpm_domain_length(p.dk_a)
-            except rds.PhaseMatchedError as exc:
-                raise ConfigError(f"{ctx}: {exc}")
-        if isinstance(dl, (int, float)) and not isinstance(dl, bool) and dl > 0:
-            return float(dl)
-        raise ConfigError(f'key "domain_length" in {ctx} must be a positive number or "coherence"')
+    def domain_length():
+        if q["domain_length"] in (None, "coherence"):
+            return rds.qpm_domain_length(p.dk_a)
+        return float(q["domain_length"])
 
     try:
-        if "grid_file" in params:
-            grid = rds.DomainGrid.load(params["grid_file"])
-        elif "length" in params:
-            length = _number(params, "length", None, ctx)
-            if "domain_length" in params:
-                grid = rds.make_periodic_grid(length, resolve_dl())
-            else:
-                grid = rds.DomainGrid(np.array([length]), np.array([1.0]))
+        if q["grid_file"] is not None:
+            grid = rds.DomainGrid.load(q["grid_file"])
+        elif q["length"] is None:
+            dl = domain_length()
+            grid = rds.make_periodic_grid(q["n_domains"] * dl, dl)
+        elif q["domain_length"] is not None:
+            grid = rds.make_periodic_grid(q["length"], domain_length())
         else:
-            n_domains = _integer(params, "n_domains", 100, ctx, minimum=1)
-            dl = resolve_dl()
-            grid = rds.make_periodic_grid(n_domains * dl, dl)
+            grid = rds.DomainGrid(np.array([q["length"]]), np.array([1.0]))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{ctx}: invalid grid: {exc}")
-
-    fields = rds.FieldTriple(
-        _complex_pair(params, "a1", [0.1, 0.0], ctx),
-        _complex_pair(params, "a2", [0.0, 0.0], ctx),
-        _complex_pair(params, "a3", [0.0, 0.0], ctx),
-    )
-    steps = _integer(params, "steps_per_domain", rds.DEFAULT_STEPS_PER_DOMAIN, ctx, minimum=1)
-    stride = _integer(params, "sample_stride", 1, ctx, minimum=1)
-    gate = params.get("gate")
-    if gate not in (None, "not", "cnot"):
-        raise ConfigError(f'key "gate" in {ctx} must be "not" or "cnot"')
-    amplitude = _number(params, "beam_amplitude", rds.DEFAULT_BEAM_AMPLITUDE, ctx)
-    return p, grid, fields, steps, stride, gate, amplitude
+    return p, grid, rds.FieldTriple(q["a1"], q["a2"], q["a3"]), q
 
 
 def run_rds(params, seed):
-    p, grid, fields, steps, stride, gate, amplitude = _parse_rds(params)
-    step = float(grid.lengths.min()) / steps
-    if gate is None:
+    p, grid, fields, q = _parse_rds(params)
+    step = rds.default_step(grid, q["steps_per_domain"])
+    if q["gate"] is None:
         traj = rds.propagate(fields, grid, p, step)
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
-        return {"columns": columns, "rows": [list(r) for r in traj.csv_rows(stride)]}
-    cal = rds.calibrate_thresholds(grid, p, amplitude, step)
-    if gate == "not":
-        rows = []
-        for x in (0, 1):
-            y = rds.not_gate_rds(x, cal, grid, p, step)
-            rows.append([x, y, min(cal.separation_sh, MARGIN_CAP), cal.p_th2])
-        return {"columns": ["x", "y", "separation", "threshold"], "rows": rows}
+        return {"columns": columns, "rows": [list(r) for r in traj.csv_rows(q["sample_stride"])]}
+    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], step)
+    if q["gate"] == "not":
+        columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
+    else:
+        columns, table, threshold = ["x1", "x2", "y1", "y2"], CNOT_TABLE, cal.p_th3
+    gate = _rds_gates(cal, grid, p, step)[q["gate"].upper()]
     rows = []
-    for x1 in (0, 1):
-        for x2 in (0, 1):
-            y1, y2 = rds.cnot_gate_rds(x1, x2, cal, grid, p, step)
-            rows.append([x1, x2, y1, y2, min(cal.separation_th, MARGIN_CAP), cal.p_th3])
-    return {"columns": ["x1", "x2", "y1", "y2", "separation", "threshold"], "rows": rows}
+    for inputs in sorted(table):
+        observed, separation = gate(inputs)
+        rows.append([*inputs, *observed, separation, threshold])
+    return {"columns": columns + ["separation", "threshold"], "rows": rows}
+
+
+_STATS = {
+    "alpha": (_complex_pair, [0.0, 0.0]),
+    "r": (_number, 0.0),
+    "theta": (_number, 0.0),
+    "cutoff": (_integer(1), 400),
+    "distribution": (_boolean, False),
+}
+
+
+def _parse_stats(params):
+    """The squeezed state and the parsed keys."""
+    ctx = "stats parameters"
+    q = _parse(params, _STATS, ctx)
+    try:
+        return SqueezedStateParams(alpha=q["alpha"], r=q["r"], theta=q["theta"]), q
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}")
 
 
 def run_stats(params, seed):
-    ctx = "stats parameters"
-    _strict(params, {"alpha", "r", "theta", "cutoff", "distribution"}, ctx)
-    try:
-        s = SqueezedStateParams(
-            alpha=_complex_pair(params, "alpha", [0.0, 0.0], ctx),
-            r=_number(params, "r", 0.0, ctx),
-            theta=_number(params, "theta", 0.0, ctx),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}")
-    distribution = params.get("distribution", False)
-    if not isinstance(distribution, bool):
-        raise ConfigError(f'key "distribution" in {ctx} must be a boolean')
-    if distribution:
-        cutoff = _integer(params, "cutoff", 400, ctx, minimum=1)
-        p = fock_distribution(s, cutoff)
+    s, q = _parse_stats(params)
+    if q["distribution"]:
+        p = fock_distribution(s, q["cutoff"])
         return {"columns": ["n", "p"], "rows": [[int(n), float(x)] for n, x in enumerate(p)]}
     st = closed_form_stats(s)
     row = [s.alpha.real, s.alpha.imag, s.r, s.theta, st.mean_n, st.var_n, st.mandel_q, st.g2_zero]
@@ -404,83 +418,77 @@ _RUNNERS = {"spin": run_spin, "jones": run_jones, "rds": run_rds, "stats": run_s
 
 # ---------------------------------------------------------------- truth tables
 
-
-def _spin_reports(b0=1.0, j12=0.1):
-    reports = []
-    not_segs = spin.compile_not(1)
-    not_fid = spin.gate_fidelity(
-        permutation_matrix(not_permutation(2, 1)), spin.sequence_unitary(not_segs, 2, j12)
-    )
-    report = TruthTableReport("NOT", "spin")
-    for (x,), (y,) in sorted(NOT_TABLE.items()):
-        state = spin.apply_sequence(spin.SpinState.basis(f"0{x}"), not_segs, j12)
-        observed = int(np.argmax(state.probabilities())) & 1
-        report.rows.append(TruthTableRow((x,), (y,), (observed,), not_fid))
-    reports.append(report)
-
-    cnot_segs = spin.compile_cnot(0, 1, j12)
-    cnot_fid = spin.gate_fidelity(
-        permutation_matrix(cnot_permutation(2, 0, 1)), spin.sequence_unitary(cnot_segs, 2, j12)
-    )
-    report = TruthTableReport("CNOT", "spin")
-    for (x1, x2), expected in sorted(CNOT_TABLE.items()):
-        state = spin.apply_sequence(spin.SpinState.basis(f"{x1}{x2}"), cnot_segs, j12)
-        k = int(np.argmax(state.probabilities()))
-        report.rows.append(TruthTableRow((x1, x2), expected, (k >> 1, k & 1), cnot_fid))
-    reports.append(report)
-    return reports
+# A backend's gates map "NOT"/"CNOT" to a function from the input bits of
+# one truth-table row to (observed output bits, margin).
 
 
-def _jones_reports():
-    reports = []
-    report = TruthTableReport("NOT", "jones")
-    for (x,), (y,) in sorted(NOT_TABLE.items()):
-        amps = np.zeros(4, dtype=complex)
-        amps[x] = 1.0
-        out = jones.decode_state(jones.not_gate(jones.encode_state(amps), 1))
-        k = int(np.argmax(np.abs(out) ** 2))
-        report.rows.append(TruthTableRow((x,), (y,), (k & 1,), float(abs(out[k]) ** 2)))
-    reports.append(report)
+def _column_gate(u, margin=None):
+    """Gate read off the columns of a two-qubit unitary; NOT acts on qubit 1.
 
-    report = TruthTableReport("CNOT", "jones")
-    for (x1, x2), expected in sorted(CNOT_TABLE.items()):
-        amps = np.zeros(4, dtype=complex)
-        amps[2 * x1 + x2] = 1.0
-        out = jones.decode_state(jones.cnot_gate(jones.encode_state(amps), 0, 1))
-        k = int(np.argmax(np.abs(out) ** 2))
-        report.rows.append(TruthTableRow((x1, x2), expected, (k >> 1, k & 1), float(abs(out[k]) ** 2)))
-    reports.append(report)
-    return reports
+    The observed output is the most probable basis state.  Its margin is
+    the given one, or else that state's probability.
+    """
+
+    def evaluate(inputs):
+        pad = 2 - len(inputs)
+        column = u[:, bits_index((0,) * pad + inputs)]
+        k = int(np.argmax(np.abs(column) ** 2))
+        return index_bits(k, 2)[pad:], float(abs(column[k]) ** 2) if margin is None else margin
+
+    return evaluate
 
 
-def _rds_reports():
+def _spin_gates():
+    j12 = 0.1
+    gates = {}
+    for name, segments, perm in (
+        ("NOT", spin.compile_not(1), not_permutation(2, 1)),
+        ("CNOT", spin.compile_cnot(0, 1, j12), cnot_permutation(2, 0, 1)),
+    ):
+        u = spin.sequence_unitary(segments, 2, j12)
+        gates[name] = _column_gate(u, spin.gate_fidelity(permutation_matrix(perm), u))
+    return gates
+
+
+def _jones_gates():
+    networks = {"NOT": jones.not_network(2, 1), "CNOT": jones.cnot_network(2, 0, 1)}
+    return {name: _column_gate(jones.gate_matrix(2, network)) for name, network in networks.items()}
+
+
+def _rds_gates(cal, grid, p, step=None):
+    """Calibrated threshold gates; the margin is the level separation."""
+    return {
+        "NOT": lambda x: ((rds.not_gate_rds(*x, cal, grid, p, step),), min(cal.separation_sh, MARGIN_CAP)),
+        "CNOT": lambda x: (rds.cnot_gate_rds(*x, cal, grid, p, step), min(cal.separation_th, MARGIN_CAP)),
+    }
+
+
+def _default_rds_gates():
     p = rds.default_params()
     grid = rds.default_grid(p)
-    cal = rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
-    reports = []
-    report = TruthTableReport("NOT", "rds")
-    for (x,), (y,) in sorted(NOT_TABLE.items()):
-        observed = rds.not_gate_rds(x, cal, grid, p)
-        report.rows.append(TruthTableRow((x,), (y,), (observed,), min(cal.separation_sh, MARGIN_CAP)))
-    reports.append(report)
-    report = TruthTableReport("CNOT", "rds")
-    for (x1, x2), expected in sorted(CNOT_TABLE.items()):
-        observed = rds.cnot_gate_rds(x1, x2, cal, grid, p)
-        report.rows.append(TruthTableRow((x1, x2), expected, observed, min(cal.separation_th, MARGIN_CAP)))
-    reports.append(report)
-    return reports
+    return _rds_gates(rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE), grid, p)
+
+
+_GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": _default_rds_gates}
 
 
 def verify_truth_tables(backends=("spin", "jones", "rds")):
     """One NOT and one CNOT report per backend, all against the same tables."""
-    builders = {"spin": _spin_reports, "jones": _jones_reports, "rds": _rds_reports}
+    for b in backends:
+        if b not in _GATE_BUILDERS:
+            raise ConfigError(f'unknown truth-table backend "{b}"')
     reports = []
     for b in backends:
-        if b not in builders:
-            raise ConfigError(f'unknown truth-table backend "{b}"')
-    for b in backends:
         try:
-            reports.extend(builders[b]())
+            gates = _GATE_BUILDERS[b]()
+            backend_reports = []
+            for name, table in (("NOT", NOT_TABLE), ("CNOT", CNOT_TABLE)):
+                report = TruthTableReport(name, b)
+                for inputs, expected in sorted(table.items()):
+                    observed, margin = gates[name](inputs)
+                    report.rows.append(TruthTableRow(inputs, expected, observed, margin))
+                backend_reports.append(report)
+            reports.extend(backend_reports)
         except Exception as exc:  # isolate failures per backend
             reports.append(TruthTableReport("NOT+CNOT", b, rows=[], error=str(exc)))
     return reports
@@ -488,20 +496,20 @@ def verify_truth_tables(backends=("spin", "jones", "rds")):
 
 # ---------------------------------------------------------------- sweeps
 
+# A sweep row substitutes the swept value into the raw parameters and
+# parses them again, so every row is validated like a run.
+
 
 def _rds_sweep_row(params, name, value):
     params = dict(params)
-    if name == "length":
-        params["length"] = value
-    elif name in ("dk_a", "kappa_a"):
+    if name in ("length", "dk_a", "kappa_a"):
         params[name] = value
     elif name == "beam_amplitude":
         params["a1"] = [value, 0.0]
     else:
         raise ConfigError(f'unknown sweep parameter "{name}" for backend rds')
-    params.pop("gate", None)
-    p, grid, fields, steps, _, _, _ = _parse_rds(params)
-    traj = rds.propagate(fields, grid, p, float(grid.lengths.min()) / steps)
+    p, grid, fields, q = _parse_rds(params)
+    traj = rds.propagate(fields, grid, p, rds.default_step(grid, q["steps_per_domain"]))
     p1_in = abs(fields.a1) ** 2
     p1, p2, p3 = traj.final.powers()
     n = traj.manley_rowe()
@@ -513,43 +521,32 @@ def _rds_sweep_row(params, name, value):
 
 
 def _stats_sweep_row(params, name, value):
-    params = dict(params)
-    params.pop("distribution", None)
-    alpha = params.get("alpha", [0.0, 0.0])
-    if name == "r":
-        params["r"] = value
-    elif name == "theta":
-        params["theta"] = value
-    elif name == "alpha_re":
-        params["alpha"] = [value, alpha[1]]
-    elif name == "alpha_im":
-        params["alpha"] = [alpha[0], value]
-    else:
+    if name not in ("r", "theta", "alpha_re", "alpha_im"):
         raise ConfigError(f'unknown sweep parameter "{name}" for backend stats')
-    payload = run_stats(params, 0)
-    row = payload["rows"][0]
+    alpha = _parse_stats(params)[0].alpha
+    params = dict(params, distribution=False)
+    if name == "alpha_re":
+        params["alpha"] = [value, alpha.imag]
+    elif name == "alpha_im":
+        params["alpha"] = [alpha.real, value]
+    else:
+        params[name] = value
+    row = run_stats(params, 0)["rows"][0]
     return [value] + row[4:], ["value", "mean_n", "var_n", "mandel_q", "g2_zero"]
 
 
 def _spin_sweep_row(params, name, value):
-    if name not in ("b0", "j12"):
+    """Fidelity of the configured gate, CNOT by default, against its permutation."""
+    if name != "j12":
         raise ConfigError(f'unknown sweep parameter "{name}" for backend spin')
-    params = dict(params)
-    params[name] = value
-    ctx = "spin parameters"
-    j12 = _number(params, "j12", 0.1, ctx)
-    gate = params.get("gate", "cnot")
+    q = _parse_spin(dict(params, j12=value))
+    gate = q["gate"] or "cnot"
+    u = spin.sequence_unitary(_spin_segments(q, gate), 2, q["j12"])
     if gate == "not":
-        target = _integer(params, "target", 1, ctx, minimum=0)
-        segs = spin.compile_not(target)
-        ideal = permutation_matrix(not_permutation(2, target))
+        perm = not_permutation(2, q["target"])
     else:
-        control = _integer(params, "control", 0, ctx, minimum=0)
-        target = _integer(params, "target", 1, ctx, minimum=0)
-        segs = spin.compile_cnot(control, target, j12)
-        ideal = permutation_matrix(cnot_permutation(2, control, target))
-    fid = spin.gate_fidelity(ideal, spin.sequence_unitary(segs, 2, j12))
-    return [value, fid], ["value", "fidelity"]
+        perm = cnot_permutation(2, q["control"], q["target"])
+    return [value, spin.gate_fidelity(permutation_matrix(perm), u)], ["value", "fidelity"]
 
 
 def run_sweep(cfg):
@@ -593,13 +590,8 @@ def cmd_sweep(args):
 
 
 def _resolve_output(cfg, args):
-    out = getattr(args, "out", None)
-    fmt = "csv"
-    if cfg["output"] is not None:
-        fmt = cfg["output"].get("format", "csv")
-        if out is None:
-            out = cfg["output"].get("path")
-    return out, fmt
+    output = cfg["output"] or _parse({}, _OUTPUT, "output")
+    return output["path"] if args.out is None else args.out, output["format"]
 
 
 def cmd_truthtable(args):
@@ -621,8 +613,7 @@ def cmd_truthtable(args):
             )
         print(f"[{rep.backend}] {rep.gate}: {'PASS' if rep.passed else 'FAIL'}")
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
+        _write_text(json.dumps([r.to_dict() for r in reports], indent=2) + "\n", args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_PHYSICS
 
 

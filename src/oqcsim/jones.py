@@ -17,8 +17,6 @@ import numpy as np
 
 H, V = 0, 1
 
-_HALF_WAVE_45 = None  # built lazily below
-
 
 def rotation(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -28,10 +26,6 @@ def rotation(angle: float) -> np.ndarray:
 def waveplate_matrix(delta: float, theta: float) -> np.ndarray:
     """Retarder with retardance delta, fast axis at angle theta."""
     return rotation(theta) @ np.diag([1.0, np.exp(1j * delta)]) @ rotation(-theta)
-
-
-def rotator_matrix(angle: float) -> np.ndarray:
-    return rotation(angle)
 
 
 def su2_part(m: np.ndarray) -> np.ndarray:
@@ -56,7 +50,7 @@ class Rotator:
     modes: Optional[Tuple[int, ...]] = None
 
     def jones(self):
-        return rotator_matrix(self.angle)
+        return rotation(self.angle)
 
 
 @dataclass(frozen=True)
@@ -65,9 +59,6 @@ class PBSSwap:
 
     mode_a: int
     mode_b: int
-
-
-OpticalElement = object  # Waveplate | Rotator | PBSSwap
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class ModeRegister:
         m = amps.shape[0]
         if m < 1 or m & (m - 1):
             raise ValueError(f"mode count {m} is not a power of two")
-        if abs(np.sum(np.abs(amps) ** 2) - 1.0) > 1e-8:
+        if not abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-8:
             raise ValueError("total power is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -107,7 +98,7 @@ def encode_state(qubit_amplitudes) -> ModeRegister:
     dim = amps.size
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"amplitude count {dim} is not 2**n with n >= 1")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-8:
         raise ValueError("input amplitudes are not normalized")
     reg = np.zeros((dim // 2, 2), dtype=complex)
     for k, a in enumerate(amps):

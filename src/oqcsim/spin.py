@@ -18,9 +18,6 @@ import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-NORM_TOL = 1e-10
 
 
 class GateCompilationError(ValueError):
@@ -45,7 +42,7 @@ class SpinState:
         dim = amps.size
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"dimension {dim} is not 2**n with n >= 1")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-8:
             raise ValueError("state is not normalized")
 
     @property

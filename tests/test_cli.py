@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,3 +301,87 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as f:
         assert tomllib.load(f)["project"]["version"] == oqcsim.__version__
+
+
+SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
+
+
+@pytest.mark.parametrize(
+    "command,cfg,out",
+    [
+        ("sweep", {"backend": "spin", "parameters": {"bogus": 1}, "sweep": SPIN_SWEEP}, None),
+        ("sweep", {"backend": "spin", "parameters": {"gate": "frob"}, "sweep": SPIN_SWEEP}, None),
+        ("run", {"backend": "spin", "parameters": {"b0": 1.0, "gate": "cnot"}}, None),
+        ("sweep", {"backend": "spin", "parameters": {}, "sweep": dict(SPIN_SWEEP, parameter="b0")}, None),
+        ("sweep", {"backend": "spin", "parameters": {"gate": "not", "target": 5}, "sweep": SPIN_SWEEP}, None),
+        (
+            "sweep",
+            {
+                "backend": "stats",
+                "parameters": {"alpha": 5},
+                "sweep": {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "count": 3},
+            },
+            None,
+        ),
+        ("run", {"backend": "jones", "parameters": {"basis": "10", "elements": [
+            {"type": "waveplate", "delta": 1.0, "modes": ["x"]}]}}, None),
+        ("run", {"backend": "jones", "parameters": {"basis": "10", "elements": [
+            {"type": "rotator", "angle": 1.0, "modes": 5}]}}, None),
+        ("run", {"backend": "rds", "parameters": dict(RDS_FAST, a1=[float("nan"), 0.0])}, None),
+        ("run", {"backend": "rds", "parameters": dict(RDS_FAST, a1=[True, 0.0])}, None),
+        ("run", {"backend": "jones", "parameters": {"input": [[float("nan"), 0.0], [0.0, 0.0]]}}, None),
+        ("run", {"backend": "rds", "parameters": dict(RDS_FAST, grid_file=["g.txt"])}, None),
+        ("run", {"backend": "stats", "parameters": {"r": 10**400}}, None),
+        ("run", {"backend": "stats", "parameters": {}, "output": {"path": ["x.csv"]}}, None),
+        ("run", {"backend": "stats", "parameters": {}}, "missing/x.csv"),
+    ],
+    ids=[
+        "spin-sweep-unknown-key",
+        "spin-sweep-unknown-gate",
+        "spin-b0",
+        "spin-sweep-b0",
+        "spin-sweep-target-out-of-range",
+        "stats-sweep-alpha-not-pair",
+        "jones-modes-not-ints",
+        "jones-modes-not-list",
+        "rds-a1-nan",
+        "rds-a1-bool",
+        "jones-input-nan",
+        "rds-grid-file-not-string",
+        "stats-r-beyond-float-range",
+        "output-path-not-string",
+        "out-dir-missing",
+    ],
+)
+def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg, out):
+    argv = [command, "--config", write_config(tmp_path, "bad.json", cfg)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+
+
+def test_truthtable_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["truthtable", "--backends", "jones", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+
+
+def test_module_entry_point_runs_without_warnings():
+    root = Path(__file__).parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oqcsim.cli", "version"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == oqcsim.__version__
+    assert result.stderr == ""

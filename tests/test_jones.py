@@ -34,7 +34,7 @@ def test_elements_unitary_and_su2():
     rng = np.random.default_rng(5)
     for _ in range(50):
         delta, theta = rng.uniform(0, 2 * math.pi, size=2)
-        for m in (jones.waveplate_matrix(delta, theta), jones.rotator_matrix(theta)):
+        for m in (jones.waveplate_matrix(delta, theta), jones.rotation(theta)):
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
             assert abs(np.linalg.det(jones.su2_part(m)) - 1.0) < 1e-12
 
@@ -59,6 +59,20 @@ def test_encode_single_qubit():
 def test_encode_rejects_unnormalized():
     with pytest.raises(ValueError):
         jones.encode_state([1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: jones.encode_state([math.nan, 0.0]),
+        lambda: jones.ModeRegister(np.array([[math.nan, 0.0]])),
+    ],
+    ids=["encode_state", "ModeRegister"],
+)
+def test_nan_amplitudes_rejected(build):
+    # a NaN norm fails every comparison, so the check must accept, not reject
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_pbs_swap_routes_v_only():

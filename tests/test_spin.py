@@ -110,6 +110,11 @@ def test_free_evolution_matches_expm_oracle():
         assert np.max(np.abs(out.amplitudes - oracle @ amps)) < 1e-12
 
 
+def test_spin_state_rejects_nan():
+    with pytest.raises(ValueError):
+        spin.SpinState(np.array([math.nan, 0.0]))
+
+
 def test_free_evolution_negative_duration_rejected():
     with pytest.raises(ValueError):
         spin.FreeCouplingEvolution(-0.1)
