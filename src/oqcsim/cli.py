@@ -346,6 +346,9 @@ def _parse_rds(params):
             return rds.qpm_domain_length(p.dk_a)
         return float(q["domain_length"])
 
+    clash = [k for k in ("length", "n_domains", "domain_length") if k in params]
+    if q["grid_file"] is not None and clash:
+        raise ConfigError(f"{ctx}: grid_file cannot be combined with {', '.join(clash)}")
     try:
         if q["grid_file"] is not None:
             grid = rds.DomainGrid.load(q["grid_file"])

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 DEFAULT_CUTOFF = 400
 
@@ -58,26 +57,41 @@ def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
     return PhotonStatistics(mean_n, var_n, q, g2)
 
 
-def _annihilation(dim):
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
 def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Photon-number probabilities p(0..cutoff) from the truncated basis.
 
-    Builds D(alpha) S(xi) |0> with dense matrix exponentials; the
-    normalization deficit and the top-bin mass serve as the tail check.
+    Builds D(alpha) S(xi) |0> as the action of two matrix exponentials on
+    the vacuum (Al-Mohy & Higham 2011), each generator a sparse matrix on
+    the truncated basis: the squeeze generator has the two off-diagonals
+    of a^2 and a^dag^2, the displacement generator those of a and a^dag.
+    The normalization deficit and the top-bin mass serve as the tail check.
     """
+    # scipy loads here, not at import, so `import oqcsim` needs numpy only
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import expm_multiply
+
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     dim = cutoff + 1
-    a = _annihilation(dim)
-    ad = a.T
+    n = np.arange(1.0, dim)
+    a = diags(np.sqrt(n), 1, shape=(dim, dim))
+    a2 = diags(np.sqrt(n[1:] * n[:-1]), 2, shape=(dim, dim))
     xi = s.r * np.exp(1j * s.theta)
-    squeeze = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
     alpha = complex(s.alpha)
-    displace = expm(alpha * ad - np.conj(alpha) * a)
-    psi = displace @ squeeze[:, 0]
+    squeeze = 0.5 * (np.conj(xi) * a2 - xi * a2.T)
+    displace = alpha * a.T - np.conj(alpha) * a
+    vacuum = np.zeros(dim, dtype=complex)
+    vacuum[0] = 1.0
+    # expm_multiply estimates operator norms with random probe vectors from
+    # numpy's global generator, and the estimate picks the Taylor degree, so
+    # the last bits of psi depend on that state: fix it for the call, then
+    # hand the caller's state back.
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        psi = expm_multiply(displace, expm_multiply(squeeze, vacuum))
+    finally:
+        np.random.set_state(state)
     p = np.abs(psi) ** 2
     tail = max(abs(1.0 - p.sum()), float(p[-1]))
     if tail > 1e-10:

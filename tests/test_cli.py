@@ -334,6 +334,17 @@ SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
         ("run", {"backend": "stats", "parameters": {"r": 10**400}}, None),
         ("run", {"backend": "stats", "parameters": {}, "output": {"path": ["x.csv"]}}, None),
         ("run", {"backend": "stats", "parameters": {}}, "missing/x.csv"),
+        (
+            "sweep",
+            {
+                "backend": "rds",
+                "parameters": {"grid_file": "grid.txt", "steps_per_domain": 8},
+                "sweep": {"parameter": "length", "start": 0.001, "stop": 0.01, "count": 3},
+            },
+            None,
+        ),
+        ("run", {"backend": "rds", "parameters": {
+            "grid_file": "grid.txt", "length": 0.5, "n_domains": 7, "steps_per_domain": 8}}, None),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -351,9 +362,14 @@ SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
         "stats-r-beyond-float-range",
         "output-path-not-string",
         "out-dir-missing",
+        "rds-sweep-length-with-grid-file",
+        "rds-grid-file-with-length",
     ],
 )
-def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg, out):
+def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
+    # a valid 3-domain grid, so a config that names it fails only on its own keys
+    (tmp_path / "grid.txt").write_text("5e-4 1\n5e-4 -1\n5e-4 1\n")
+    monkeypatch.chdir(tmp_path)
     argv = [command, "--config", write_config(tmp_path, "bad.json", cfg)]
     if out is not None:
         argv += ["--out", str(tmp_path / out)]

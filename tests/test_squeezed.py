@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +108,67 @@ def test_moments_match_closed_form_over_grid():
                 mean, var = distribution_moments(fock_distribution(s))
                 assert abs(mean - st.mean_n) < 1e-8
                 assert abs(var - st.var_n) < 1e-8
+
+
+def _dense_or_cutoff_error(s, cutoff):
+    """Dense-reference probabilities, or None where its tail check fails."""
+    p = np.abs(fock_state_vector(s, cutoff + 1)) ** 2
+    return p if max(abs(1.0 - p.sum()), p[-1]) <= 1e-10 else None
+
+
+@pytest.mark.parametrize("cutoff", [60, 120, 400])
+def test_sparse_action_matches_dense_reference(cutoff):
+    for mag, r, theta in itertools.product((0.0, 1.5, 3.0), (0.0, 0.75, 1.5), (0.0, math.pi / 2, 2.0)):
+        s = SqueezedStateParams(mag * np.exp(0.7j), r, theta)
+        want = _dense_or_cutoff_error(s, cutoff)
+        if want is None:
+            with pytest.raises(CutoffError):
+                fock_distribution(s, cutoff)
+        else:
+            assert np.max(np.abs(fock_distribution(s, cutoff) - want)) <= 1e-12, (s, cutoff)
+
+
+@pytest.mark.parametrize(
+    "s,cutoff",
+    [
+        (SqueezedStateParams(0.0, 0.0), 400),
+        (SqueezedStateParams(0.0, 0.0), 1),
+        (SqueezedStateParams(1.5 - 0.5j, 0.0, 2.0), 120),
+    ],
+    ids=["vacuum-400", "vacuum-1", "coherent-zero-squeeze"],
+)
+def test_sparse_action_zero_generator_edges(s, cutoff):
+    p = fock_distribution(s, cutoff)
+    assert p.shape == (cutoff + 1,)
+    assert np.max(np.abs(p - _dense_or_cutoff_error(s, cutoff))) <= 1e-12
+
+
+def test_fock_distribution_independent_of_global_random_state():
+    # large enough that expm_multiply estimates norms with random probes
+    s = SqueezedStateParams(3.0, 1.2, 2.0)
+    outputs = set()
+    for seed in range(6):
+        np.random.seed(seed)
+        outputs.add(fock_distribution(s).tobytes())
+        drawn = np.random.random()
+        np.random.seed(seed)
+        assert drawn == np.random.random()  # the caller's stream is untouched
+    assert len(outputs) == 1
+
+
+def test_import_oqcsim_does_not_load_scipy():
+    root = Path(__file__).parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import oqcsim, sys; print('scipy' in sys.modules)"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_quadrature_variance_vacuum():
