@@ -10,6 +10,7 @@ acting on classical coherent amplitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -40,6 +41,10 @@ class Waveplate:
     theta: float
     modes: Optional[Tuple[int, ...]] = None  # None = all spatial modes
 
+    def __post_init__(self):
+        if not (math.isfinite(self.delta) and math.isfinite(self.theta)):
+            raise ValueError(f"waveplate angles must be finite, got {self.delta!r}, {self.theta!r}")
+
     def jones(self):
         return waveplate_matrix(self.delta, self.theta)
 
@@ -48,6 +53,10 @@ class Waveplate:
 class Rotator:
     angle: float
     modes: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError(f"rotator angle must be finite, got {self.angle!r}")
 
     def jones(self):
         return rotation(self.angle)
@@ -100,52 +109,42 @@ def encode_state(qubit_amplitudes) -> ModeRegister:
         raise ValueError(f"amplitude count {dim} is not 2**n with n >= 1")
     if not abs(np.linalg.norm(amps) - 1.0) <= 1e-8:
         raise ValueError("input amplitudes are not normalized")
-    reg = np.zeros((dim // 2, 2), dtype=complex)
-    for k, a in enumerate(amps):
-        reg[k >> 1, k & 1] = a
-    return ModeRegister(reg)
+    return ModeRegister(amps.reshape(dim // 2, 2))
 
 
 def decode_state(reg: ModeRegister) -> np.ndarray:
     """Exact inverse of encode_state."""
-    m = reg.n_modes
-    out = np.empty(2 * m, dtype=complex)
-    for mode in range(m):
-        out[2 * mode + H] = reg.amplitudes[mode, H]
-        out[2 * mode + V] = reg.amplitudes[mode, V]
-    return out
+    return reg.amplitudes.flatten()
 
 
-def _target_modes(element, n_modes):
-    if element.modes is None:
-        return range(n_modes)
-    for m in element.modes:
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode index {m} out of range")
-    return element.modes
+def _propagate(amps, elements):
+    """Apply elements in order, in place, to a batch of B registers of shape (M, 2, B)."""
+    n_modes = amps.shape[0]
+    for element in elements:
+        if isinstance(element, PBSSwap):
+            a, b = element.mode_a, element.mode_b
+            if not (0 <= a < n_modes and 0 <= b < n_modes) or a == b:
+                raise ValueError(f"invalid PBS mode pair ({a}, {b})")
+            amps[[a, b], V] = amps[[b, a], V]
+        elif isinstance(element, (Waveplate, Rotator)):
+            modes = list(range(n_modes) if element.modes is None else element.modes)
+            # every listed mode is updated at once, so a repeated mode would be rotated once
+            if len(set(modes)) < len(modes) or not all(0 <= m < n_modes for m in modes):
+                raise ValueError(f"invalid mode indices {element.modes} for {n_modes} modes")
+            amps[modes] = element.jones() @ amps[modes]
+        else:
+            raise TypeError(f"unknown optical element {element!r}")
+    return amps
 
 
 def apply_element(reg: ModeRegister, element) -> ModeRegister:
     """Apply one lossless element; untouched modes are copied bit-exactly."""
-    amps = reg.amplitudes.copy()
-    if isinstance(element, PBSSwap):
-        a, b = element.mode_a, element.mode_b
-        if not (0 <= a < reg.n_modes and 0 <= b < reg.n_modes) or a == b:
-            raise ValueError(f"invalid PBS mode pair ({a}, {b})")
-        amps[a, V], amps[b, V] = amps[b, V], amps[a, V]
-    elif isinstance(element, (Waveplate, Rotator)):
-        j = element.jones()
-        for m in _target_modes(element, reg.n_modes):
-            amps[m] = j @ amps[m]
-    else:
-        raise TypeError(f"unknown optical element {element!r}")
-    return ModeRegister(amps)
+    return apply_network(reg, [element])
 
 
 def apply_network(reg: ModeRegister, elements) -> ModeRegister:
-    for e in elements:
-        reg = apply_element(reg, e)
-    return reg
+    amps = reg.amplitudes[:, :, np.newaxis].copy()
+    return ModeRegister(_propagate(amps, elements)[:, :, 0])
 
 
 def _spatial_bit(n_qubits, qubit):
@@ -210,14 +209,10 @@ def cnot_gate(reg: ModeRegister, control: int, target: int) -> ModeRegister:
 
 
 def gate_matrix(n_qubits: int, elements) -> np.ndarray:
-    """Assemble the 2**n x 2**n matrix of a network column by column."""
+    """The 2**n x 2**n matrix of a network: the network applied to the identity batch."""
     dim = 2**n_qubits
-    cols = []
-    for k in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[k] = 1.0
-        cols.append(decode_state(apply_network(encode_state(amps), elements)))
-    return np.array(cols).T
+    identity = np.eye(dim, dtype=complex).reshape(dim // 2, 2, dim)
+    return _propagate(identity, elements).reshape(dim, dim)
 
 
 def register_csv_rows(reg: ModeRegister):

@@ -95,6 +95,9 @@ class HardRotation:
     axis_angle: float
     rotation_angle: float
 
+    def __post_init__(self):
+        _check_finite(axis_angle=self.axis_angle, rotation_angle=self.rotation_angle)
+
     def matrix(self):
         axis = math.cos(self.axis_angle) * SIGMA_X + math.sin(self.axis_angle) * SIGMA_Y
         half = 0.5 * self.rotation_angle
@@ -123,39 +126,39 @@ def evolve(state: SpinState, h: TwoSpinHamiltonian, t: float) -> SpinState:
     return SpinState(np.exp(-1j * h.energies() * t) * state.amplitudes)
 
 
-def segment_unitary(seg: PulseSegment, n: int, j12: float) -> np.ndarray:
-    """Full-register unitary realized by one pulse segment."""
-    if isinstance(seg, HardRotation):
-        if not 0 <= seg.spin < n:
-            raise ValueError(f"spin index {seg.spin} out of range for n={n}")
-        u = np.eye(1, dtype=complex)
-        for k in range(n):
-            u = np.kron(u, seg.matrix() if k == seg.spin else np.eye(2))
-        return u
-    if isinstance(seg, FreeCouplingEvolution):
-        if n != 2:
-            raise ValueError("coupling evolution is defined for the 2-spin register")
-        zz = np.array([1.0, -1.0, -1.0, 1.0])
-        return np.diag(np.exp(-1j * j12 * zz * seg.duration))
-    raise TypeError(f"unknown pulse segment {seg!r}")
+def _propagate(psi, segments, j12):
+    """Apply segments in order to B states at once, psi of shape (2**n, B).
+
+    Rotating spin k is a 2x2 operator on axis 1 of the (2**k, 2, rest) view.
+    """
+    _check_finite(j12=j12)
+    n = psi.shape[0].bit_length() - 1
+    for seg in segments:
+        if isinstance(seg, HardRotation):
+            if not 0 <= seg.spin < n:
+                raise ValueError(f"spin index {seg.spin} out of range for n={n}")
+            psi = (seg.matrix() @ psi.reshape(2**seg.spin, 2, -1)).reshape(psi.shape)
+        elif isinstance(seg, FreeCouplingEvolution):
+            if n != 2:
+                raise ValueError("coupling evolution is defined for the 2-spin register")
+            zz = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+            psi = np.exp(-1j * j12 * zz * seg.duration) * psi
+        else:
+            raise TypeError(f"unknown pulse segment {seg!r}")
+    return psi
 
 
 def sequence_unitary(segments: Sequence[PulseSegment], n: int, j12: float) -> np.ndarray:
-    """Compose segments in application order (first segment acts first)."""
-    u = np.eye(2**n, dtype=complex)
-    for seg in segments:
-        u = segment_unitary(seg, n, j12) @ u
-    return u
+    """Compose segments in application order: the sequence applied to the identity batch."""
+    return _propagate(np.eye(2**n, dtype=complex), segments, j12)
 
 
 def apply_pulse(state: SpinState, seg: PulseSegment, j12: float = 0.0) -> SpinState:
-    return SpinState(segment_unitary(seg, state.n_spins, j12) @ state.amplitudes)
+    return apply_sequence(state, [seg], j12)
 
 
 def apply_sequence(state, segments, j12):
-    for seg in segments:
-        state = apply_pulse(state, seg, j12)
-    return state
+    return SpinState(_propagate(state.amplitudes[:, np.newaxis], segments, j12)[:, 0])
 
 
 def _rz_segments(spin, angle):

@@ -327,6 +327,8 @@ SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
             {"type": "waveplate", "delta": 1.0, "modes": ["x"]}]}}, None),
         ("run", {"backend": "jones", "parameters": {"basis": "10", "elements": [
             {"type": "rotator", "angle": 1.0, "modes": 5}]}}, None),
+        ("run", {"backend": "jones", "parameters": {"basis": "10", "elements": [
+            {"type": "waveplate", "delta": 1.0, "modes": [1, 1]}]}}, None),
         ("run", {"backend": "rds", "parameters": dict(RDS_FAST, a1=[float("nan"), 0.0])}, None),
         ("run", {"backend": "rds", "parameters": dict(RDS_FAST, a1=[True, 0.0])}, None),
         ("run", {"backend": "jones", "parameters": {"input": [[float("nan"), 0.0], [0.0, 0.0]]}}, None),
@@ -355,6 +357,7 @@ SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
         "stats-sweep-alpha-not-pair",
         "jones-modes-not-ints",
         "jones-modes-not-list",
+        "jones-modes-repeated",
         "rds-a1-nan",
         "rds-a1-bool",
         "jones-input-nan",

@@ -15,6 +15,49 @@ def random_register(rng, n):
     return jones.encode_state(amps / np.linalg.norm(amps))
 
 
+def reference_gate_matrix(n, elements):
+    """The column-by-column assembly that gate_matrix replaced.
+
+    One basis state, one element and one spatial mode at a time, with no
+    use of the batched kernel; kept as the reference it is tested against.
+    """
+    dim = 2**n
+    u = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        amps = np.zeros((dim // 2, 2), dtype=complex)
+        amps[k >> 1, k & 1] = 1.0
+        for e in elements:
+            if isinstance(e, jones.PBSSwap):
+                a, b = e.mode_a, e.mode_b
+                amps[a, jones.V], amps[b, jones.V] = amps[b, jones.V], amps[a, jones.V]
+            else:
+                for m in range(dim // 2) if e.modes is None else e.modes:
+                    amps[m] = e.jones() @ amps[m]
+        for j in range(dim):
+            u[j, k] = amps[j >> 1, j & 1]
+    return u
+
+
+def random_network(rng, n):
+    """Waveplates, rotators and PBS swaps on all modes or on random mode subsets."""
+    n_modes = 2 ** (n - 1)
+    elements = []
+    for _ in range(rng.integers(1, 12)):
+        modes = None
+        if rng.random() < 0.5:
+            size = rng.integers(0, n_modes + 1)
+            modes = tuple(int(m) for m in rng.choice(n_modes, size=size, replace=False))
+        choice = rng.integers(3)
+        if choice == 0:
+            elements.append(jones.Waveplate(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi), modes))
+        elif choice == 1:
+            elements.append(jones.Rotator(rng.uniform(0, 2 * math.pi), modes))
+        elif n_modes > 1:
+            a, b = rng.choice(n_modes, size=2, replace=False)
+            elements.append(jones.PBSSwap(int(a), int(b)))
+    return elements
+
+
 def test_half_wave_plate_at_45_is_sigma_x():
     m = jones.waveplate_matrix(math.pi, math.pi / 4)
     assert np.max(np.abs(m - SX)) < 1e-12
@@ -75,6 +118,21 @@ def test_nan_amplitudes_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: jones.Waveplate(math.nan, 0.0),
+        lambda: jones.Waveplate(0.0, math.inf),
+        lambda: jones.Rotator(-math.inf, modes=(0,)),
+        lambda: jones.gate_matrix(2, [jones.Waveplate(math.nan, 0.0)]),
+    ],
+    ids=["waveplate-delta", "waveplate-theta", "rotator", "gate_matrix"],
+)
+def test_nonfinite_element_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_pbs_swap_routes_v_only():
     amps = np.zeros(4, dtype=complex)
     amps[1] = 1.0  # (mode 0, V)
@@ -108,6 +166,46 @@ def test_mode_index_out_of_range():
         jones.apply_element(reg, jones.Waveplate(1.0, 0.0, modes=(5,)))
     with pytest.raises(ValueError):
         jones.apply_element(reg, jones.PBSSwap(0, 3))
+
+
+@pytest.mark.parametrize("element", [jones.Waveplate(1.0, 0.3, modes=(1, 1)), jones.Rotator(0.4, modes=(0, 1, 0))])
+def test_repeated_mode_rejected(element):
+    reg = random_register(np.random.default_rng(13), 2)
+    with pytest.raises(ValueError):
+        jones.apply_element(reg, element)
+    with pytest.raises(ValueError):
+        jones.gate_matrix(2, [element])
+
+
+def test_network_leaves_input_register_unchanged():
+    reg = random_register(np.random.default_rng(41), 3)
+    before = reg.amplitudes.tobytes()
+    jones.apply_network(reg, jones.cnot_network(3, 0, 1) + [jones.Rotator(0.5)])
+    assert reg.amplitudes.tobytes() == before
+    # the last element is invalid, after the others have acted
+    with pytest.raises(ValueError):
+        jones.apply_network(reg, jones.not_network(3, 0) + [jones.Rotator(0.5), jones.PBSSwap(0, 4)])
+    assert reg.amplitudes.tobytes() == before
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gate_matrix_matches_column_reference_on_not_and_cnot(n):
+    networks = [jones.not_network(n, q) for q in range(n)]
+    networks += [jones.cnot_network(n, c, t) for c, t in itertools.permutations(range(n), 2)]
+    for network in networks:
+        assert np.max(np.abs(jones.gate_matrix(n, network) - reference_gate_matrix(n, network))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_matches_column_reference_on_random_networks(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(40):
+        network = random_network(rng, n)
+        reference = reference_gate_matrix(n, network)
+        assert np.max(np.abs(jones.gate_matrix(n, network) - reference)) <= 1e-14
+        reg = random_register(rng, n)
+        out = jones.decode_state(jones.apply_network(reg, network))
+        assert np.max(np.abs(out - reference @ jones.decode_state(reg))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

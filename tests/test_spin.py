@@ -17,6 +17,24 @@ def random_state(rng, n=2):
     return spin.SpinState(amps / np.linalg.norm(amps))
 
 
+def reference_sequence_unitary(segments, n, j12):
+    """The np.kron composition that sequence_unitary replaced.
+
+    Each segment becomes a full 2**n x 2**n matrix and multiplies the
+    product so far; kept as the reference the batched kernel is tested against.
+    """
+    u = np.eye(2**n, dtype=complex)
+    for seg in segments:
+        if isinstance(seg, spin.HardRotation):
+            step = np.eye(1, dtype=complex)
+            for k in range(n):
+                step = np.kron(step, seg.matrix() if k == seg.spin else np.eye(2))
+        else:
+            step = np.diag(np.exp(-1j * j12 * np.array([1.0, -1.0, -1.0, 1.0]) * seg.duration))
+        u = step @ u
+    return u
+
+
 @pytest.mark.parametrize(
     "b0,j12,diag",
     [
@@ -113,6 +131,56 @@ def test_free_evolution_matches_expm_oracle():
 def test_spin_state_rejects_nan():
     with pytest.raises(ValueError):
         spin.SpinState(np.array([math.nan, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: spin.HardRotation(0, 0.0, math.inf),
+        lambda: spin.sequence_unitary([spin.HardRotation(0, math.nan, 1.0)], 2, 0.1),
+        lambda: spin.sequence_unitary([spin.FreeCouplingEvolution(1.0)], 2, math.nan),
+    ],
+    ids=["rotation-angle", "axis-angle", "j12"],
+)
+def test_nonfinite_pulse_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_sequence_leaves_input_state_unchanged():
+    state = random_state(np.random.default_rng(43))
+    before = state.amplitudes.tobytes()
+    spin.apply_sequence(state, spin.compile_cnot(0, 1, 0.3), 0.3)
+    assert state.amplitudes.tobytes() == before
+    # the last segment is invalid, after the others have acted
+    with pytest.raises(ValueError):
+        spin.apply_sequence(state, spin.compile_cnot(0, 1, 0.3) + [spin.HardRotation(2, 0.0, 1.0)], 0.3)
+    assert state.amplitudes.tobytes() == before
+
+
+@pytest.mark.parametrize("j12", [0.1, -0.37, 3.0])
+def test_compiled_gates_match_kron_reference(j12):
+    for segs in (spin.compile_not(0), spin.compile_not(1), spin.compile_cnot(0, 1, j12), spin.compile_cnot(1, 0, j12)):
+        reference = reference_sequence_unitary(segs, 2, j12)
+        assert np.max(np.abs(spin.sequence_unitary(segs, 2, j12) - reference)) <= 1e-14
+        for k, bits in enumerate(("00", "01", "10", "11")):
+            out = spin.apply_sequence(spin.SpinState.basis(bits), segs, j12)
+            assert np.max(np.abs(out.amplitudes - reference[:, k])) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_sequences_match_kron_reference(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(30):
+        j12 = rng.normal()
+        segs = []
+        for _ in range(rng.integers(1, 10)):
+            if n == 2 and rng.random() < 0.3:
+                segs.append(spin.FreeCouplingEvolution(abs(rng.normal())))
+            else:
+                segs.append(spin.HardRotation(int(rng.integers(n)), rng.uniform(0, 2 * math.pi), rng.normal() * 3))
+        reference = reference_sequence_unitary(segs, n, j12)
+        assert np.max(np.abs(spin.sequence_unitary(segs, n, j12) - reference)) <= 1e-14
 
 
 def test_free_evolution_negative_duration_rejected():
