@@ -376,7 +376,7 @@ def run_rds(params, seed):
         columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
     else:
         columns, table, threshold = ["x1", "x2", "y1", "y2"], CNOT_TABLE, cal.p_th3
-    gate = _rds_gates(cal, grid, p, step)[q["gate"].upper()]
+    gate = _rds_gates(cal)[q["gate"].upper()]
     rows = []
     for inputs in sorted(table):
         observed, separation = gate(inputs)
@@ -458,18 +458,17 @@ def _jones_gates():
     return {name: _column_gate(jones.gate_matrix(2, network)) for name, network in networks.items()}
 
 
-def _rds_gates(cal, grid, p, step=None):
-    """Calibrated threshold gates; the margin is the level separation."""
+def _rds_gates(cal):
+    """Threshold gates read from the calibrated levels; the margin is the level separation."""
     return {
-        "NOT": lambda x: ((rds.not_gate_rds(*x, cal, grid, p, step),), min(cal.separation_sh, MARGIN_CAP)),
-        "CNOT": lambda x: (rds.cnot_gate_rds(*x, cal, grid, p, step), min(cal.separation_th, MARGIN_CAP)),
+        "NOT": lambda x: (rds.calibrated_gate(x, cal), min(cal.separation_sh, MARGIN_CAP)),
+        "CNOT": lambda x: (rds.calibrated_gate(x, cal), min(cal.separation_th, MARGIN_CAP)),
     }
 
 
 def _default_rds_gates():
     p = rds.default_params()
-    grid = rds.default_grid(p)
-    return _rds_gates(rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE), grid, p)
+    return _rds_gates(rds.calibrate_thresholds(rds.default_grid(p), p, rds.DEFAULT_BEAM_AMPLITUDE))
 
 
 _GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": _default_rds_gates}
@@ -499,57 +498,65 @@ def verify_truth_tables(backends=("spin", "jones", "rds")):
 
 # ---------------------------------------------------------------- sweeps
 
-# A sweep row substitutes the swept value into the raw parameters and
-# parses them again, so every row is validated like a run.
+# A sweep substitutes each swept value into the raw parameters and parses
+# them again, so every row is validated like a run, and every row is
+# validated before any is computed.
 
 
-def _rds_sweep_row(params, name, value):
-    params = dict(params)
-    if name in ("length", "dk_a", "kappa_a"):
-        params[name] = value
-    elif name == "beam_amplitude":
-        params["a1"] = [value, 0.0]
-    else:
+def _rds_sweep(params, name, values):
+    """One kernel call per step schedule shared by the rows (see rds.propagate_many)."""
+    if name not in ("length", "dk_a", "kappa_a", "beam_amplitude"):
         raise ConfigError(f'unknown sweep parameter "{name}" for backend rds')
-    p, grid, fields, q = _parse_rds(params)
-    traj = rds.propagate(fields, grid, p, rds.default_step(grid, q["steps_per_domain"]))
-    p1_in = abs(fields.a1) ** 2
-    p1, p2, p3 = traj.final.powers()
-    n = traj.manley_rowe()
-    drift = float(np.max(np.abs(n - n[0])) / n[0]) if n[0] > 0 else 0.0
-    eff = p2 / p1_in if p1_in > 0 else 0.0
-    return [value, p1, p2, p3, eff, drift], [
-        "value", "p1_out", "p2_out", "p3_out", "efficiency_sh", "manley_drift",
-    ]
+    cases = []
+    for value in values:
+        if name == "beam_amplitude":
+            p, grid, fields, q = _parse_rds(dict(params, a1=[value, 0.0]))
+        else:
+            p, grid, fields, q = _parse_rds(dict(params, **{name: value}))
+        cases.append((fields, grid, p, rds.default_step(grid, q["steps_per_domain"])))
+    final, drift = rds.propagate_many(cases)
+    powers = np.abs(final) ** 2
+    rows = []
+    for i, value in enumerate(values):
+        p1, p2, p3 = (float(x) for x in powers[:, i])
+        p1_in = abs(cases[i][0].a1) ** 2
+        eff = p2 / p1_in if p1_in > 0 else 0.0
+        rows.append([value, p1, p2, p3, eff, float(drift[i])])
+    return ["value", "p1_out", "p2_out", "p3_out", "efficiency_sh", "manley_drift"], rows
 
 
-def _stats_sweep_row(params, name, value):
+def _stats_sweep(params, name, values):
     if name not in ("r", "theta", "alpha_re", "alpha_im"):
         raise ConfigError(f'unknown sweep parameter "{name}" for backend stats')
     alpha = _parse_stats(params)[0].alpha
     params = dict(params, distribution=False)
-    if name == "alpha_re":
-        params["alpha"] = [value, alpha.imag]
-    elif name == "alpha_im":
-        params["alpha"] = [alpha.real, value]
-    else:
-        params[name] = value
-    row = run_stats(params, 0)["rows"][0]
-    return [value] + row[4:], ["value", "mean_n", "var_n", "mandel_q", "g2_zero"]
+    rows = []
+    for value in values:
+        if name == "alpha_re":
+            row_params = dict(params, alpha=[value, alpha.imag])
+        elif name == "alpha_im":
+            row_params = dict(params, alpha=[alpha.real, value])
+        else:
+            row_params = dict(params, **{name: value})
+        rows.append([value] + run_stats(row_params, 0)["rows"][0][4:])
+    return ["value", "mean_n", "var_n", "mandel_q", "g2_zero"], rows
 
 
-def _spin_sweep_row(params, name, value):
+def _spin_sweep(params, name, values):
     """Fidelity of the configured gate, CNOT by default, against its permutation."""
     if name != "j12":
         raise ConfigError(f'unknown sweep parameter "{name}" for backend spin')
-    q = _parse_spin(dict(params, j12=value))
-    gate = q["gate"] or "cnot"
-    u = spin.sequence_unitary(_spin_segments(q, gate), 2, q["j12"])
-    if gate == "not":
-        perm = not_permutation(2, q["target"])
-    else:
-        perm = cnot_permutation(2, q["control"], q["target"])
-    return [value, spin.gate_fidelity(permutation_matrix(perm), u)], ["value", "fidelity"]
+    rows = []
+    for value in values:
+        q = _parse_spin(dict(params, j12=value))
+        gate = q["gate"] or "cnot"
+        u = spin.sequence_unitary(_spin_segments(q, gate), 2, q["j12"])
+        if gate == "not":
+            perm = not_permutation(2, q["target"])
+        else:
+            perm = cnot_permutation(2, q["control"], q["target"])
+        rows.append([value, spin.gate_fidelity(permutation_matrix(perm), u)])
+    return ["value", "fidelity"], rows
 
 
 def run_sweep(cfg):
@@ -557,16 +564,11 @@ def run_sweep(cfg):
     if sweep is None:
         raise ConfigError("sweep command requires a sweep section in the config")
     backend = cfg["backend"]
-    rowers = {"rds": _rds_sweep_row, "stats": _stats_sweep_row, "spin": _spin_sweep_row}
-    if backend not in rowers:
+    sweepers = {"rds": _rds_sweep, "stats": _stats_sweep, "spin": _spin_sweep}
+    if backend not in sweepers:
         raise ConfigError(f'backend "{backend}" has no sweepable parameters')
-    name = sweep["parameter"]
-    values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
-    rows = []
-    columns = None
-    for v in values:
-        row, columns = rowers[backend](cfg["parameters"], name, float(v))
-        rows.append(row)
+    values = [float(v) for v in np.linspace(sweep["start"], sweep["stop"], sweep["count"])]
+    columns, rows = sweepers[backend](cfg["parameters"], sweep["parameter"], values)
     return {"columns": columns, "rows": rows}
 
 

@@ -12,15 +12,26 @@ N = |a1|^2 + 2|a2|^2 + 3|a3|^2 exactly conserved.  Integration is
 classical fixed-step RK4 with steps aligned to domain boundaries, so the
 discontinuous s(z) never falls inside a step.
 
+One kernel, `rk4`, integrates a batch of B independent beams, a (3, B)
+complex array, through one step schedule: the domain signs and per-domain
+step counts are shared, while domain lengths, couplings and mismatches
+may differ per column.  It keeps a running max of |N - N0| per column
+over every step (the Manley-Rowe drift), and writes a (K, 3, B)
+trajectory only when asked.  `propagate` is the batch of one, with its
+trajectory.  `propagate_many` groups any list of cases by step schedule
+and makes one kernel call per group, so a sweep over amplitude, coupling
+or mismatch is a single integration.
+
 Logic gates use phase coding: a bit b enters as an amplitude factor
 (-1)**b, interfered with an equal zero-phase bias beam, and the gate
 output is a threshold comparison on the second-harmonic (NOT) or
-third-harmonic (CNOT target) output power.
+third-harmonic (CNOT target) output power.  All logic inputs make only
+three distinct pumps (2A, 0, -2A), which calibration propagates in one
+kernel call and keeps as the logic levels.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -178,13 +189,109 @@ def make_periodic_grid(total_length: float, domain_length: float, first_sign: in
     return DomainGrid(np.array(lengths), np.array(signs, dtype=float))
 
 
-def _derivs(z, a1, a2, a3, s, p):
-    ea = cmath.exp(1j * p.dk_a * z)
-    eb = cmath.exp(1j * p.dk_b * z)
-    d1 = 1j * s * (p.kappa_a * a1.conjugate() * a2 * ea + p.kappa_b * a2.conjugate() * a3 * eb)
-    d2 = 1j * s * (0.5 * p.kappa_a * a1 * a1 * ea.conjugate() + p.kappa_b * a1.conjugate() * a3 * eb)
-    d3 = 1j * s * (p.kappa_b * a1 * a2 * eb.conjugate())
-    return d1, d2, d3
+def step_counts(grid: DomainGrid, step: float) -> np.ndarray:
+    """RK4 steps per domain: the requested step shrunk to divide each domain."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    return np.maximum(1, np.ceil(grid.lengths / step - 1e-12)).astype(int)
+
+
+# The right-hand side is five coupling terms, each a product of two field
+# factors: conj(a1) a2, conj(a2) a3 | a1 a1, conj(a1) a3 | a1 a2, summed
+# in pairs into da1, da2 | da3.  Rows 0-2 of the factor table hold the
+# conjugated fields, rows 3-5 the fields.
+_FACTORS = np.array([0, 1, 3, 0, 3, 4, 5, 3, 5, 4])
+_TERM_SUMS = np.array([0, 2, 4])
+_FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
+
+
+def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajectory=False):
+    """Fixed-step RK4 of B independent field triples through one step schedule.
+
+    fields is a (3, B) complex array.  The domain signs and per-domain step
+    counts (both (D,)) are shared by every column; the domain lengths
+    ((D, B), or (D, 1) for one grid) and the couplings and mismatches
+    (scalars or (B,)) may differ per column.  Steps never cross a domain
+    boundary, so the discontinuous sign profile keeps 4th-order accuracy.
+
+    Each step evaluates the phase factors twice, at the midpoint and at
+    the step end; the step start reuses the previous step's end.  The
+    photon flux N is checked after every step for the Manley-Rowe drift.
+
+    Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
+    drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
+    when a trajectory is asked for, the (K, B) sample positions and the
+    (K, 3, B) sampled fields (else None and None).
+    """
+    a = np.array(fields, dtype=complex)
+    width = a.shape[1]
+    h_all = np.asarray(lengths, dtype=float) / np.asarray(n_steps)[:, None]
+    kappa_a, kappa_b, dk_a, dk_b = (
+        np.broadcast_to(np.asarray(x, dtype=float), width) for x in (kappa_a, kappa_b, dk_a, dk_b)
+    )
+    # per coupling term: i dk of its phase factor e^{i dk z}, and i kappa
+    phase = 1j * np.array([dk_a, dk_b, -dk_a, dk_b, -dk_b])
+    coupling = 1j * np.array([kappa_a, kappa_b, 0.5 * kappa_a, kappa_b, kappa_b])
+    factors = np.empty((6, width), dtype=complex)
+
+    def derivs(a, c):
+        np.conjugate(a, out=factors[:3])
+        factors[3:] = a
+        pairs = factors.take(_FACTORS, axis=0)
+        terms = pairs[:5] * pairs[5:]
+        terms *= c
+        return np.add.reduceat(terms, _TERM_SUMS)
+
+    def flux(a):
+        return _FLUX_WEIGHTS @ (np.abs(a) ** 2)
+
+    n0 = flux(a)
+    worst = np.zeros(width)
+    z = np.zeros(width)
+    e_end = np.ones((5, width), dtype=complex)
+    zs = samples = None
+    if trajectory:
+        k = 0
+        zs = np.zeros((1 + int(np.sum(n_steps)), width))
+        samples = np.empty((zs.shape[0], 3, width), dtype=complex)
+        samples[0] = a
+    for s, n, h in zip(signs, n_steps, h_all):
+        c = s * coupling
+        c_end = c * e_end
+        offsets = np.array([0.5 * h, h])
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(n):
+            zz = z + offsets
+            c_start = c_end
+            e = np.exp(phase * zz[:, None, :])
+            c_mid, c_end = c * e
+            k1 = derivs(a, c_start)
+            k2 = derivs(a + half * k1, c_mid)
+            k3 = derivs(a + half * k2, c_mid)
+            k4 = derivs(a + h * k3, c_end)
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= sixth
+            a += k2
+            z = zz[1]
+            np.maximum(worst, np.abs(flux(a) - n0), out=worst)
+            if trajectory:
+                k += 1
+                zs[k] = z
+                samples[k] = a
+        e_end = e[1]
+    drift = np.divide(worst, n0, out=np.zeros(width), where=n0 > 0)
+    return a, drift, zs, samples
+
+
+def _on_grid(fields, grid, params, step, trajectory=False):
+    """The kernel on columns that share one grid and one parameter set."""
+    return rk4(
+        fields, grid.signs, step_counts(grid, step), grid.lengths[:, None],
+        params.kappa_a, params.kappa_b, params.dk_a, params.dk_b, trajectory,
+    )
 
 
 def propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, step: float) -> Trajectory:
@@ -192,41 +299,34 @@ def propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, 
 
     Within each domain the requested step is shrunk to an integer divisor
     of the domain length, preserving 4th-order accuracy across the
-    discontinuous sign profile.
+    discontinuous sign profile.  This is the kernel's batch of one.
     """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    a1, a2, a3 = complex(fields.a1), complex(fields.a2), complex(fields.a3)
-    z = 0.0
-    zs = [0.0]
-    traj = [(a1, a2, a3)]
-    for length, s in zip(grid.lengths, grid.signs):
-        n_steps = max(1, math.ceil(length / step - 1e-12))
-        h = length / n_steps
-        for _ in range(n_steps):
-            k1 = _derivs(z, a1, a2, a3, s, params)
-            k2 = _derivs(
-                z + 0.5 * h,
-                a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], a3 + 0.5 * h * k1[2],
-                s, params,
-            )
-            k3 = _derivs(
-                z + 0.5 * h,
-                a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], a3 + 0.5 * h * k2[2],
-                s, params,
-            )
-            k4 = _derivs(
-                z + h,
-                a1 + h * k3[0], a2 + h * k3[1], a3 + h * k3[2],
-                s, params,
-            )
-            a1 += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            a2 += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            a3 += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            z += h
-            zs.append(z)
-            traj.append((a1, a2, a3))
-    return Trajectory(np.array(zs), np.array(traj, dtype=complex))
+    _, _, z, samples = _on_grid([[fields.a1], [fields.a2], [fields.a3]], grid, params, step, trajectory=True)
+    return Trajectory(z[:, 0], samples[:, :, 0])
+
+
+def propagate_many(cases):
+    """Exit fields (3, n) and Manley-Rowe drift (n,) of n (fields, grid, params, step) cases.
+
+    Cases that share a step schedule -- domain signs and per-domain step
+    counts -- run as the columns of one kernel call; their domain lengths,
+    couplings and mismatches may differ.
+    """
+    groups = {}
+    for i, (_, grid, _, step) in enumerate(cases):
+        n_steps = step_counts(grid, step)
+        key = (grid.signs.tobytes(), n_steps.tobytes())
+        groups.setdefault(key, (grid.signs, n_steps, []))[2].append(i)
+    final = np.empty((3, len(cases)), dtype=complex)
+    drift = np.empty(len(cases))
+    for signs, n_steps, members in groups.values():
+        fields, grids, params, _ = zip(*(cases[i] for i in members))
+        a = np.array([(f.a1, f.a2, f.a3) for f in fields], dtype=complex).T
+        lengths = np.stack([g.lengths for g in grids], axis=1)
+        kappa_a, kappa_b, dk_a, dk_b = np.array([(p.kappa_a, p.kappa_b, p.dk_a, p.dk_b) for p in params]).T
+        out = rk4(a, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b)
+        final[:, members], drift[members] = out[:2]
+    return final, drift
 
 
 def default_step(grid: DomainGrid, steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN) -> float:
@@ -269,36 +369,52 @@ def qpm_enhancement_check(
     else:
         grid = DomainGrid(np.array([total]), np.array([1.0]))
     pump = 1e-3 / (params.kappa_a * total)
-    traj = propagate(
-        FieldTriple(pump, 0.0, 0.0), grid, params, step=lc / steps_per_domain
-    )
+    final = _on_grid([[pump], [0.0], [0.0]], grid, params, lc / steps_per_domain)[0]
     matched_amp = 0.5 * params.kappa_a * pump**2 * total
-    return abs(traj.final.a2) / matched_amp
+    return float(abs(final[1, 0])) / matched_amp
 
 
 @dataclass(frozen=True)
 class LogicThresholds:
-    """Calibrated decision levels for the SH (NOT) and TH (CNOT) channels."""
+    """Calibrated decision levels for the SH (NOT) and TH (CNOT) channels.
+
+    sh_levels and th_levels are the SH and TH output powers of the three
+    distinct pumps, indexed by the number of 1 bits among the inputs.
+    """
 
     p_th2: float
     p_th3: float
     bias_amplitude: float
     separation_sh: float
     separation_th: float
+    sh_levels: Tuple[float, float, float]
+    th_levels: Tuple[float, float, float]
 
 
-def _pump_not(x: int, amplitude: float) -> complex:
-    # phase-coded bit interfered with an equal-amplitude zero-phase bias
-    return complex(amplitude * ((-1.0) ** x + 1.0))
-
-
-def _pump_cnot(x1: int, x2: int, amplitude: float) -> complex:
+def _pump(x1: int, x2: int, amplitude: float) -> complex:
+    # Phase-coded bits: bit b enters as the amplitude factor (-1)**b.  A NOT
+    # bit is interfered with an equal zero-phase bias beam, the bit x2 = 0.
     return complex(amplitude * ((-1.0) ** x1 + (-1.0) ** x2))
 
 
-def _output_powers(pump, grid, params, step):
-    final = propagate(FieldTriple(pump, 0.0, 0.0), grid, params, step).final
-    return abs(final.a2) ** 2, abs(final.a3) ** 2
+def _output_powers(pumps, grid, params, step):
+    """P2(L) and P3(L) of each pump, all pumps in one kernel call."""
+    fields = np.zeros((3, len(pumps)), dtype=complex)
+    fields[0] = pumps
+    p = np.abs(_on_grid(fields, grid, params, step)[0]) ** 2
+    return p[1], p[2]
+
+
+def _gate_bits(inputs, p2, p3, cal: LogicThresholds):
+    """Output bits of NOT (one input bit) or CNOT (two) from the exit powers.
+
+    NOT outputs 1 iff P2(L) >= p_th2.  CNOT passes the control through;
+    equal bits interfere constructively and drive the cascaded third
+    harmonic high, so the XOR target is 1 iff P3(L) < p_th3.
+    """
+    if len(inputs) == 1:
+        return (1 if p2 >= cal.p_th2 else 0,)
+    return inputs[0], 1 if p3 < cal.p_th3 else 0
 
 
 def calibrate_thresholds(
@@ -309,27 +425,25 @@ def calibrate_thresholds(
 ) -> LogicThresholds:
     """Simulate all logic inputs and place thresholds between the levels.
 
-    Each threshold sits at the geometric mean of the bright and dark
-    output-power levels of its channel (dark levels floored, since perfect
-    destructive interference yields exactly zero power).  Raises
-    CalibrationError when the levels are separated by less than a factor 2.
-    Thresholds are only valid for this beam amplitude; changing the
-    amplitude requires recalibration.
+    The logic inputs make three distinct pumps (2A, 0 and -2A for beam
+    amplitude A), propagated together in one kernel call.  Each threshold
+    sits at the geometric mean of the bright and dark output-power levels
+    of its channel (dark levels floored, since perfect destructive
+    interference yields exactly zero power).  Raises CalibrationError when
+    the levels are separated by less than a factor 2.  Thresholds are only
+    valid for this beam amplitude; changing the amplitude requires
+    recalibration.
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
     step = step if step is not None else default_step(grid)
 
-    sh = {x: _output_powers(_pump_not(x, beam_amplitude), grid, params, step)[0] for x in (0, 1)}
-    th = {
-        (x1, x2): _output_powers(_pump_cnot(x1, x2, beam_amplitude), grid, params, step)[1]
-        for x1 in (0, 1)
-        for x2 in (0, 1)
-    }
+    pumps = [_pump(x1, x2, beam_amplitude) for x1, x2 in ((0, 0), (0, 1), (1, 1))]
+    sh, th = (tuple(float(x) for x in p) for p in _output_powers(pumps, grid, params, step))
 
     sh_high, sh_low = sh[0], sh[1]
-    th_high = min(th[(0, 0)], th[(1, 1)])
-    th_low = max(th[(0, 1)], th[(1, 0)])
+    th_high = min(th[0], th[2])
+    th_low = th[1]
 
     def separation(high, low):
         if high <= 0.0:
@@ -346,7 +460,13 @@ def calibrate_thresholds(
         )
     p_th2 = math.sqrt(sh_high * max(sh_low, sh_high * DARK_FLOOR_RATIO))
     p_th3 = math.sqrt(th_high * max(th_low, th_high * DARK_FLOOR_RATIO))
-    return LogicThresholds(p_th2, p_th3, beam_amplitude, sep_sh, sep_th)
+    return LogicThresholds(p_th2, p_th3, beam_amplitude, sep_sh, sep_th, sh, th)
+
+
+def calibrated_gate(inputs, cal: LogicThresholds):
+    """NOT (one input bit) or CNOT (two) read from the calibration's own levels."""
+    k = sum(inputs)
+    return _gate_bits(inputs, cal.sh_levels[k], cal.th_levels[k], cal)
 
 
 def not_gate_rds(
@@ -360,8 +480,8 @@ def not_gate_rds(
     if x not in (0, 1):
         raise ValueError("input bit must be 0 or 1")
     step = step if step is not None else default_step(grid)
-    p2, _ = _output_powers(_pump_not(x, cal.bias_amplitude), grid, params, step)
-    return 1 if p2 >= cal.p_th2 else 0
+    p2, p3 = _output_powers([_pump(x, 0, cal.bias_amplitude)], grid, params, step)
+    return _gate_bits((x,), p2[0], p3[0], cal)[0]
 
 
 def cnot_gate_rds(
@@ -372,17 +492,12 @@ def cnot_gate_rds(
     params: CoupledModeParams,
     step: float | None = None,
 ) -> Tuple[int, int]:
-    """CNOT: control passes through, target = 1 iff P3(L) < threshold.
-
-    Equal bits interfere constructively, driving the cascaded third
-    harmonic high; the XOR target output is the complement of that
-    predicate, hence the inverted comparison.
-    """
+    """CNOT: control passes through, target = 1 iff P3(L) < threshold."""
     for x in (x1, x2):
         if x not in (0, 1):
             raise ValueError("input bits must be 0 or 1")
     if params.kappa_b <= 0.0:
         raise ValueError("CNOT needs an active SFG channel (kappa_b > 0)")
     step = step if step is not None else default_step(grid)
-    _, p3 = _output_powers(_pump_cnot(x1, x2, cal.bias_amplitude), grid, params, step)
-    return x1, 1 if p3 < cal.p_th3 else 0
+    p2, p3 = _output_powers([_pump(x1, x2, cal.bias_amplitude)], grid, params, step)
+    return _gate_bits((x1, x2), p2[0], p3[0], cal)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oqcsim
-from oqcsim import cli
+from oqcsim import cli, rds
 
 RDS_FAST = {
     "n_domains": 10,
@@ -304,6 +304,8 @@ def test_version_matches_pyproject():
 
 
 SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
+# the third of five values is dk_a = 0, for which the default QPM grid is undefined
+DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count": 5}
 
 
 @pytest.mark.parametrize(
@@ -347,6 +349,7 @@ SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
         ),
         ("run", {"backend": "rds", "parameters": {
             "grid_file": "grid.txt", "length": 0.5, "n_domains": 7, "steps_per_domain": 8}}, None),
+        ("sweep", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO}, None),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -367,6 +370,7 @@ SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
         "out-dir-missing",
         "rds-sweep-length-with-grid-file",
         "rds-grid-file-with-length",
+        "rds-sweep-dk-a-through-zero-on-qpm-grid",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
@@ -404,3 +408,63 @@ def test_module_entry_point_runs_without_warnings():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == oqcsim.__version__
     assert result.stderr == ""
+
+
+@pytest.fixture
+def kernel_widths(monkeypatch):
+    """Batch width of every call of the rds RK4 kernel."""
+    widths = []
+    kernel = rds.rk4
+
+    def counted(fields, *args, **kwargs):
+        widths.append(np.shape(fields)[1])
+        return kernel(fields, *args, **kwargs)
+
+    monkeypatch.setattr(rds, "rk4", counted)
+    return widths
+
+
+@pytest.mark.parametrize("gate", ["not", "cnot"])
+def test_rds_gate_run_is_one_kernel_call(tmp_path, capsys, kernel_widths, gate):
+    cfg = write_config(tmp_path, "gate.json", {"backend": "rds", "parameters": {"gate": gate}})
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert kernel_widths == [3]
+
+
+def test_rds_truth_table_is_one_kernel_call(capsys, kernel_widths):
+    assert cli.main(["truthtable", "--backends", "rds"]) == 0
+    assert kernel_widths == [3]
+
+
+@pytest.mark.parametrize(
+    "parameter,params,start,stop",
+    [
+        ("beam_amplitude", {}, 0.02, 0.3),
+        ("kappa_a", {"a1": [0.2, 0.0]}, 0.3, 2.5),
+        ("dk_a", {"a1": [0.2, 0.0]}, 2 * np.pi * 500, 2 * np.pi * 3000),
+    ],
+    ids=["beam_amplitude", "kappa_a", "dk_a"],
+)
+def test_rds_sweep_is_one_kernel_call(tmp_path, capsys, kernel_widths, parameter, params, start, stop):
+    sweep = {"parameter": parameter, "start": start, "stop": stop, "count": 81}
+    cfg = write_config(tmp_path, "sweep.json", {"backend": "rds", "parameters": params, "sweep": sweep})
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert kernel_widths == [81]
+    assert len(capsys.readouterr().out.splitlines()) == 82
+
+
+def test_rds_length_sweep_on_periodic_grid_is_one_call_per_row(tmp_path, capsys, kernel_widths):
+    # 10, 15 and 20 domains of 0.5 mm: each row has its own step schedule
+    cfg = write_config(tmp_path, "length.json", {
+        "backend": "rds",
+        "parameters": {"domain_length": 5e-4},
+        "sweep": {"parameter": "length", "start": 5e-3, "stop": 1e-2, "count": 3},
+    })
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert kernel_widths == [1, 1, 1]
+
+
+def test_rds_sweep_validates_every_row_before_integrating(tmp_path, capsys, kernel_widths):
+    cfg = write_config(tmp_path, "dk.json", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO})
+    assert cli.main(["sweep", "--config", cfg]) == 2
+    assert kernel_widths == []

@@ -1,9 +1,65 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from oqcsim import rds
+from oqcsim.rds import CoupledModeParams, DomainGrid, FieldTriple, Trajectory
+
+
+# The scalar RK4 loop the batched kernel replaced, kept as its reference.
+
+
+def _derivs(z, a1, a2, a3, s, p):
+    ea = cmath.exp(1j * p.dk_a * z)
+    eb = cmath.exp(1j * p.dk_b * z)
+    d1 = 1j * s * (p.kappa_a * a1.conjugate() * a2 * ea + p.kappa_b * a2.conjugate() * a3 * eb)
+    d2 = 1j * s * (0.5 * p.kappa_a * a1 * a1 * ea.conjugate() + p.kappa_b * a1.conjugate() * a3 * eb)
+    d3 = 1j * s * (p.kappa_b * a1 * a2 * eb.conjugate())
+    return d1, d2, d3
+
+
+def reference_propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, step: float) -> Trajectory:
+    """Fixed-step RK4 through the grid; steps never cross a domain boundary.
+
+    Within each domain the requested step is shrunk to an integer divisor
+    of the domain length, preserving 4th-order accuracy across the
+    discontinuous sign profile.
+    """
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    a1, a2, a3 = complex(fields.a1), complex(fields.a2), complex(fields.a3)
+    z = 0.0
+    zs = [0.0]
+    traj = [(a1, a2, a3)]
+    for length, s in zip(grid.lengths, grid.signs):
+        n_steps = max(1, math.ceil(length / step - 1e-12))
+        h = length / n_steps
+        for _ in range(n_steps):
+            k1 = _derivs(z, a1, a2, a3, s, params)
+            k2 = _derivs(
+                z + 0.5 * h,
+                a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], a3 + 0.5 * h * k1[2],
+                s, params,
+            )
+            k3 = _derivs(
+                z + 0.5 * h,
+                a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], a3 + 0.5 * h * k2[2],
+                s, params,
+            )
+            k4 = _derivs(
+                z + h,
+                a1 + h * k3[0], a2 + h * k3[1], a3 + h * k3[2],
+                s, params,
+            )
+            a1 += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            a2 += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            a3 += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+            z += h
+            zs.append(z)
+            traj.append((a1, a2, a3))
+    return Trajectory(np.array(zs), np.array(traj, dtype=complex))
 
 
 def sinc(x):
@@ -249,3 +305,117 @@ def test_trajectory_csv_rows(calibrated):
     assert rows[0][0] == 0.0
     assert rows[-1][0] == pytest.approx(grid.total_length, rel=1e-12)
     assert len(rows[0]) == 8
+
+
+# ---------------------------------------------------------------- kernel vs scalar reference
+
+# Drift is |N - N0| / N0 with N from fields that agree to ~1e-19, so the two
+# drifts may differ only by the rounding of N: a few units of 2**-52.
+DRIFT_TOL = 4 * np.finfo(float).eps
+
+
+def reference_drift(traj):
+    n = traj.manley_rowe()
+    return float(np.max(np.abs(n - n[0])) / n[0]) if n[0] > 0 else 0.0
+
+
+def _values(lo, hi, width):
+    # a batch of one takes the midpoint, which is dk_a = 0 for the README sweep
+    return np.linspace(lo, hi, width) if width > 1 else np.array([(lo + hi) / 2])
+
+
+def sweep_cases(kind, width):
+    """(fields, grid, params, step) cases of one sweep, as the CLI builds them."""
+    p0 = rds.default_params()
+    grid0 = rds.default_grid(p0, n_domains=10)
+    two_pi = 2 * math.pi
+    cases = []
+    if kind == "beam_amplitude":
+        for v in _values(0.02, 0.3, width):
+            cases.append((rds.FieldTriple(v, 0.0, 0.0), grid0, p0, rds.default_step(grid0)))
+    elif kind == "kappa_a":
+        for v in _values(0.3, 2.5, width):
+            p = rds.CoupledModeParams(v, p0.kappa_b, p0.dk_a, p0.dk_b)
+            cases.append((rds.FieldTriple(0.2, 0.0, 0.0), grid0, p, rds.default_step(grid0)))
+    elif kind == "dk_a_qpm":
+        # every column has its own QPM grid of coherence length pi/|dk_a|
+        for v in _values(-two_pi * 3000, -two_pi * 500, width):
+            p = rds.CoupledModeParams(1.0, 1.0, v, p0.dk_b)
+            grid = rds.default_grid(p, n_domains=10)
+            cases.append((rds.FieldTriple(0.2, 0.0, 0.0), grid, p, rds.default_step(grid)))
+    else:  # the README sweep: one 5 cm domain, pure SHG, dk_a through 0
+        grid = single_domain(0.05)
+        for v in _values(-400.0, 400.0, width):
+            p = rds.CoupledModeParams(1.0, 0.0, v, p0.dk_b)
+            cases.append((rds.FieldTriple(0.1, 0.0, 0.0), grid, p, rds.default_step(grid)))
+    return cases
+
+
+def assert_matches_reference(cases, final, drift):
+    for j, (fields, grid, params, step) in enumerate(cases):
+        ref = reference_propagate(fields, grid, params, step)
+        scale = max(abs(fields.a1), abs(fields.a2), abs(fields.a3))
+        assert np.max(np.abs(final[:, j] - ref.fields[-1])) <= 1e-12 * scale, j
+        assert drift[j] == pytest.approx(reference_drift(ref), abs=DRIFT_TOL), j
+
+
+@pytest.mark.parametrize("width", [1, 3, 81])
+@pytest.mark.parametrize("kind", ["beam_amplitude", "kappa_a", "dk_a_qpm", "dk_a_single_domain"])
+def test_sweep_batch_matches_scalar_reference(kind, width):
+    cases = sweep_cases(kind, width)
+    final, drift = rds.propagate_many(cases)
+    assert final.shape == (3, width) and drift.shape == (width,)
+    assert_matches_reference(cases, final, drift)
+
+
+def test_mixed_schedules_keep_case_order():
+    # three step schedules, interleaved: QPM grids of 10 domains, one domain,
+    # and periodic grids of 10 and 12 domains with their own schedules
+    qpm = sweep_cases("dk_a_qpm", 3)
+    single = sweep_cases("dk_a_single_domain", 3)
+    p = rds.default_params()
+    periodic = []
+    for length in (5e-3, 6e-3):
+        grid = rds.make_periodic_grid(length, 5e-4)
+        periodic.append((rds.FieldTriple(0.2, 0.0, 0.0), grid, p, rds.default_step(grid)))
+    cases = [qpm[0], single[0], periodic[0], qpm[1], single[1], periodic[1], qpm[2], single[2]]
+    final, drift = rds.propagate_many(cases)
+    assert_matches_reference(cases, final, drift)
+
+
+def test_propagate_matches_scalar_reference_trajectory():
+    p = rds.default_params()
+    grid = rds.default_grid(p)
+    fields = rds.FieldTriple(0.2, 0.0, 0.0)
+    step = rds.default_step(grid)
+    traj = rds.propagate(fields, grid, p, step)
+    ref = reference_propagate(fields, grid, p, step)
+    assert np.array_equal(traj.z, ref.z)
+    assert traj.fields.shape == ref.fields.shape
+    assert np.max(np.abs(traj.fields - ref.fields)) <= 1e-12 * 0.2
+
+
+def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
+    p = rds.default_params()
+    grid = rds.default_grid(p)
+    step = rds.default_step(grid)
+    a = rds.DEFAULT_BEAM_AMPLITUDE
+    cases = [(rds.FieldTriple(pump, 0.0, 0.0), grid, p, step) for pump in (2 * a, 0.0, -2 * a)]
+    final, drift = rds.propagate_many(cases)
+    assert_matches_reference(cases, final, drift)
+    assert np.all(final[:, 1] == 0.0) and drift[1] == 0.0
+    cal = rds.calibrate_thresholds(grid, p, a, step)
+    for k, (fields, *_) in enumerate(cases):
+        ref = reference_propagate(fields, grid, p, step).final
+        assert cal.sh_levels[k] == pytest.approx(abs(ref.a2) ** 2, rel=1e-12, abs=0.0)
+        assert cal.th_levels[k] == pytest.approx(abs(ref.a3) ** 2, rel=1e-12, abs=0.0)
+    assert cal.sh_levels[1] == 0.0 and cal.th_levels[1] == 0.0
+
+
+def test_calibrated_gate_agrees_with_propagating_gates(calibrated):
+    p, grid, cal = calibrated
+    for x in (0, 1):
+        assert rds.calibrated_gate((x,), cal) == (rds.not_gate_rds(x, cal, grid, p),)
+    for x1 in (0, 1):
+        for x2 in (0, 1):
+            assert rds.calibrated_gate((x1, x2), cal) == rds.cnot_gate_rds(x1, x2, cal, grid, p)
