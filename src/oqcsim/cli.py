@@ -349,6 +349,8 @@ def _parse_rds(params):
     clash = [k for k in ("length", "n_domains", "domain_length") if k in params]
     if q["grid_file"] is not None and clash:
         raise ConfigError(f"{ctx}: grid_file cannot be combined with {', '.join(clash)}")
+    if "length" in params and "n_domains" in params:
+        raise ConfigError(f"{ctx}: n_domains cannot be combined with length")
     try:
         if q["grid_file"] is not None:
             grid = rds.DomainGrid.load(q["grid_file"])

@@ -1,11 +1,11 @@
 """Two-nuclear-spin register simulation.
 
-The register Hamiltonian is H = b0*(sz1 + sz2) + j12*sz1*sz2 (hbar = 1,
-angular-frequency units), diagonal in the computational basis ordered
-|00>, |01>, |10>, |11> with spin 0 leftmost.  Gates are compiled from
-idealized hard pulses in the doubly-rotating frame: instantaneous
-single-spin rotations about axes in the xy plane, plus free evolution
-under the j-coupling term alone (Zeeman terms absorbed by the frame).
+Gates are compiled from idealized hard pulses in the doubly-rotating
+frame, which absorbs the Zeeman terms: instantaneous single-spin
+rotations about axes in the xy plane, plus free evolution
+exp(-i j12 sz1 sz2 tau) under the j-coupling alone (hbar = 1,
+angular-frequency units).  Basis states are ordered |00>, |01>, |10>,
+|11> with spin 0 leftmost.
 """
 
 from __future__ import annotations
@@ -61,33 +61,6 @@ class SpinState:
 
 
 @dataclass(frozen=True)
-class TwoSpinHamiltonian:
-    """Zeeman + hyperfine coupling, diagonal in the sz basis."""
-
-    b0: float
-    j12: float
-
-    def __post_init__(self):
-        _check_finite(b0=self.b0, j12=self.j12)
-
-    def energies(self):
-        """Diagonal E(s1,s2) = b0*(s1+s2) + j12*s1*s2, s = +1 for bit 0."""
-        e = np.empty(4)
-        for i in range(4):
-            s1 = 1.0 - 2.0 * ((i >> 1) & 1)
-            s2 = 1.0 - 2.0 * (i & 1)
-            e[i] = self.b0 * (s1 + s2) + self.j12 * s1 * s2
-        return e
-
-    def matrix(self):
-        return np.diag(self.energies()).astype(complex)
-
-
-def build_hamiltonian(b0: float, j12: float) -> TwoSpinHamiltonian:
-    return TwoSpinHamiltonian(b0, j12)
-
-
-@dataclass(frozen=True)
 class HardRotation:
     """Instantaneous rotation exp(-i(theta/2)(cos(phi) sx + sin(phi) sy))."""
 
@@ -116,14 +89,6 @@ class FreeCouplingEvolution:
 
 
 PulseSegment = Union[HardRotation, FreeCouplingEvolution]
-
-
-def evolve(state: SpinState, h: TwoSpinHamiltonian, t: float) -> SpinState:
-    """Propagate by exp(-i H t); H is diagonal so only phases change."""
-    _check_finite(t=t)
-    if state.amplitudes.size != 4:
-        raise ValueError("TwoSpinHamiltonian acts on a 2-spin register")
-    return SpinState(np.exp(-1j * h.energies() * t) * state.amplitudes)
 
 
 def _propagate(psi, segments, j12):
@@ -228,15 +193,3 @@ def measure(state: SpinState, seed: int, shots: int) -> dict:
     counts = rng.multinomial(shots, probs / total)
     n = state.n_spins
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0}
-
-
-def gate_matrix_csv(u: np.ndarray) -> str:
-    """Row-major CSV of 're,im' pairs, 17 significant digits."""
-    lines = []
-    for row in np.asarray(u, dtype=complex):
-        cells = []
-        for z in row:
-            cells.append(format(z.real, ".17g"))
-            cells.append(format(z.imag, ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -1,20 +1,24 @@
 """Photon statistics of displaced squeezed states.
 
 Closed-form mean/variance of the photon number, the Mandel Q parameter
-and g2(0), cross-checked elsewhere against a truncated number-basis
-construction.  Conventions: S(xi) = exp((xi* a^2 - xi a^dag^2)/2) with
-xi = r e^{i theta}, D(alpha) = exp(alpha a^dag - alpha* a), state
-|alpha, xi> = D(alpha) S(xi) |0>, vacuum quadrature variance 1/4.
+and g2(0), and the photon-number distribution from exact number-basis
+amplitudes, an independent check on the closed forms.  Conventions:
+S(xi) = exp((xi* a^2 - xi a^dag^2)/2) with xi = r e^{i theta},
+D(alpha) = exp(alpha a^dag - alpha* a), state |alpha, xi> = D(alpha) S(xi) |0>,
+vacuum quadrature variance 1/4.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_CUTOFF = 400
+_RESCALE = 2.0**256
+_LOG_RESCALE = 256 * math.log(2.0)
 
 
 class CutoffError(ValueError):
@@ -58,43 +62,35 @@ def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
 
 
 def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """Photon-number probabilities p(0..cutoff) from the truncated basis.
+    """Photon-number probabilities p(0..cutoff) from exact amplitudes.
 
-    Builds D(alpha) S(xi) |0> as the action of two matrix exponentials on
-    the vacuum (Al-Mohy & Higham 2011), each generator a sparse matrix on
-    the truncated basis: the squeeze generator has the two off-diagonals
-    of a^2 and a^dag^2, the displacement generator those of a and a^dag.
-    The normalization deficit and the top-bin mass serve as the tail check.
+    The amplitudes psi_n = <n|alpha, xi> obey Yuen's three-term recurrence
+    (PRA 13, 2226, 1976), from the eigen-relation of a cosh r + a^dag
+    e^{i theta} sinh r with eigenvalue gamma:
+    psi_{n+1} = (gamma psi_n - e^{i theta} sinh r sqrt(n) psi_{n-1}) / (cosh r sqrt(n+1)),
+    psi_0 = exp(-|alpha|^2/2 - alpha*^2 e^{i theta} tanh r / 2) / sqrt(cosh r).
+    psi_0 underflows for |alpha| above about 38, so each amplitude carries
+    a log scale, raised whenever |psi_n| passes _RESCALE.  The
+    normalization deficit and the top-bin mass serve as the tail check.
     """
-    # scipy loads here, not at import, so `import oqcsim` needs numpy only
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import expm_multiply
-
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    dim = cutoff + 1
-    n = np.arange(1.0, dim)
-    a = diags(np.sqrt(n), 1, shape=(dim, dim))
-    a2 = diags(np.sqrt(n[1:] * n[:-1]), 2, shape=(dim, dim))
-    xi = s.r * np.exp(1j * s.theta)
     alpha = complex(s.alpha)
-    squeeze = 0.5 * (np.conj(xi) * a2 - xi * a2.T)
-    displace = alpha * a.T - np.conj(alpha) * a
-    vacuum = np.zeros(dim, dtype=complex)
-    vacuum[0] = 1.0
-    # expm_multiply estimates operator norms with random probe vectors from
-    # numpy's global generator, and the estimate picks the Taylor degree, so
-    # the last bits of psi depend on that state: fix it for the call, then
-    # hand the caller's state back.
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        psi = expm_multiply(displace, expm_multiply(squeeze, vacuum))
-    finally:
-        np.random.set_state(state)
-    p = np.abs(psi) ** 2
+    ch, sh = math.cosh(s.r), math.sinh(s.r)
+    phase = cmath.exp(1j * s.theta)
+    gamma = alpha * ch + alpha.conjugate() * phase * sh
+    log_psi0 = -0.5 * abs(alpha) ** 2 - 0.5 * alpha.conjugate() ** 2 * phase * math.tanh(s.r)
+    prev, psi, scale = 0.0, cmath.exp(1j * log_psi0.imag) / math.sqrt(ch), log_psi0.real
+    amplitudes, scales = [psi], [scale]
+    for n in range(cutoff):
+        prev, psi = psi, (gamma * psi - phase * sh * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
+        if abs(psi) > _RESCALE:
+            prev, psi, scale = prev / _RESCALE, psi / _RESCALE, scale + _LOG_RESCALE
+        amplitudes.append(psi)
+        scales.append(scale)
+    p = np.abs(amplitudes) ** 2 * np.exp(2.0 * np.array(scales))
     tail = max(abs(1.0 - p.sum()), float(p[-1]))
-    if tail > 1e-10:
+    if not tail <= 1e-10:
         raise CutoffError(f"tail mass {tail:.3e} exceeds 1e-10 at cutoff {cutoff}")
     return p
 

@@ -137,6 +137,16 @@ def test_run_jones_with_elements(tmp_path):
     assert row[("1", "V")] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_stats_distribution_below_its_tail_is_physics_error(tmp_path, capsys):
+    params = {"r": 0.75, "cutoff": 3, "distribution": True}
+    cfg = write_config(tmp_path, "cutoff.json", {"backend": "stats", "parameters": params})
+    assert cli.main(["run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("physics error:"), captured.err
+
+
 def test_run_stats_row(tmp_path):
     out = tmp_path / "stats.json"
     cfg = write_config(
@@ -350,6 +360,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         ("run", {"backend": "rds", "parameters": {
             "grid_file": "grid.txt", "length": 0.5, "n_domains": 7, "steps_per_domain": 8}}, None),
         ("sweep", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO}, None),
+        ("run", {"backend": "rds", "parameters": {"length": 0.0035, "n_domains": 7}}, None),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -371,6 +382,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "rds-sweep-length-with-grid-file",
         "rds-grid-file-with-length",
         "rds-sweep-dk-a-through-zero-on-qpm-grid",
+        "rds-n-domains-with-length",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):

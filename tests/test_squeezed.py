@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -110,17 +111,36 @@ def test_moments_match_closed_form_over_grid():
                 assert abs(var - st.var_n) < 1e-8
 
 
-def _dense_or_cutoff_error(s, cutoff):
-    """Dense-reference probabilities, or None where its tail check fails."""
-    p = np.abs(fock_state_vector(s, cutoff + 1)) ** 2
-    return p if max(abs(1.0 - p.sum()), p[-1]) <= 1e-10 else None
+GRID = [
+    SqueezedStateParams(mag * np.exp(0.7j), r, theta)
+    for mag, r, theta in itertools.product((0.0, 1.5, 3.0), (0.0, 0.75, 1.5), (0.0, math.pi / 2, 2.0))
+]
+CONVERGED_DIM = 401
+
+
+@pytest.fixture(scope="module")
+def converged_probabilities():
+    """Dense-reference probabilities at dimension 401, built once per state."""
+    cache = {}
+
+    def probabilities(s):
+        if s not in cache:
+            cache[s] = np.abs(fock_state_vector(s, CONVERGED_DIM)) ** 2
+        return cache[s]
+
+    return probabilities
+
+
+def _reference_or_cutoff_error(p, cutoff):
+    """The converged probabilities up to cutoff, or None where the tail check must fail."""
+    want = p[: cutoff + 1]
+    return want if max(abs(1.0 - want.sum()), want[-1]) <= 1e-10 else None
 
 
 @pytest.mark.parametrize("cutoff", [60, 120, 400])
-def test_sparse_action_matches_dense_reference(cutoff):
-    for mag, r, theta in itertools.product((0.0, 1.5, 3.0), (0.0, 0.75, 1.5), (0.0, math.pi / 2, 2.0)):
-        s = SqueezedStateParams(mag * np.exp(0.7j), r, theta)
-        want = _dense_or_cutoff_error(s, cutoff)
+def test_fock_distribution_matches_dense_reference(converged_probabilities, cutoff):
+    for s in GRID:
+        want = _reference_or_cutoff_error(converged_probabilities(s), cutoff)
         if want is None:
             with pytest.raises(CutoffError):
                 fock_distribution(s, cutoff)
@@ -137,14 +157,34 @@ def test_sparse_action_matches_dense_reference(cutoff):
     ],
     ids=["vacuum-400", "vacuum-1", "coherent-zero-squeeze"],
 )
-def test_sparse_action_zero_generator_edges(s, cutoff):
+def test_fock_distribution_zero_generator_edges(converged_probabilities, s, cutoff):
     p = fock_distribution(s, cutoff)
     assert p.shape == (cutoff + 1,)
-    assert np.max(np.abs(p - _dense_or_cutoff_error(s, cutoff))) <= 1e-12
+    want = _reference_or_cutoff_error(converged_probabilities(s), cutoff)
+    assert np.max(np.abs(p - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1, 3])
+def test_squeezed_vacuum_below_its_tail_raises(cutoff):
+    # 23% and 7% of the mass lie above n = 1 and n = 3; a norm-keeping
+    # truncation would hide that, since the odd top bin is empty either way
+    with pytest.raises(CutoffError):
+        fock_distribution(SqueezedStateParams(0.0, 0.75), cutoff)
+
+
+@pytest.mark.parametrize("mag", [39.0, 50.0])
+def test_large_displacement_past_vacuum_underflow(mag):
+    # |<0|alpha, xi>|^2 underflows to 0 here; the distribution must not
+    s = SqueezedStateParams(mag * np.exp(0.3j), 0.4, 1.0)
+    st = closed_form_stats(s)
+    mean, var = distribution_moments(fock_distribution(s, 4000))
+    assert mean == pytest.approx(st.mean_n, rel=1e-8)
+    assert var == pytest.approx(st.var_n, rel=1e-8)
 
 
 def test_fock_distribution_independent_of_global_random_state():
-    # large enough that expm_multiply estimates norms with random probes
+    # the recurrence draws nothing at random: it neither reads nor moves
+    # numpy's global generator
     s = SqueezedStateParams(3.0, 1.2, 2.0)
     outputs = set()
     for seed in range(6):
@@ -156,11 +196,24 @@ def test_fock_distribution_independent_of_global_random_state():
     assert len(outputs) == 1
 
 
-def test_import_oqcsim_does_not_load_scipy():
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from oqcsim import cli, squeezed
+p = squeezed.fock_distribution(squeezed.SqueezedStateParams(1.0 + 0.5j, 0.7, 0.9))
+assert abs(p.sum() - 1.0) < 1e-10
+sys.exit(cli.main(["run", "--config", sys.argv[1]]))
+"""
+
+
+def test_import_oqcsim_does_not_load_scipy(tmp_path):
+    cfg = tmp_path / "stats.json"
+    params = {"alpha": [1.0, 0.5], "r": 0.7, "distribution": True}
+    cfg.write_text(json.dumps({"backend": "stats", "parameters": params}))
     root = Path(__file__).parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", "import oqcsim, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", SCIPY_BLOCKED, str(cfg)],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,
@@ -168,7 +221,8 @@ def test_import_oqcsim_does_not_load_scipy():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "n,p" and len(lines) == 402
 
 
 def test_quadrature_variance_vacuum():
