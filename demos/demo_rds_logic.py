@@ -1,7 +1,7 @@
 """Harmonic-generation threshold logic in a periodically poled crystal.
 
 Shows quasi-phase-matched second-harmonic growth, Manley-Rowe
-conservation, and the calibrated NOT / CNOT threshold gates.
+conservation, and the NOT / CNOT threshold gates read from the calibration.
 """
 
 import math
@@ -29,9 +29,9 @@ print("  pTh3 =", cal.p_th3, " TH separation =", cal.separation_th)
 
 print("\nNOT gate (phase-coded pump, SH threshold):")
 for x in (0, 1):
-    print(f"  x={x} -> y={rds.not_gate_rds(x, cal, grid, params)}")
+    print(f"  x={x} -> y={rds.calibrated_gate((x,), cal)[0]}")
 
 print("\nCNOT gate (two pumps, TH threshold):")
 for x1 in (0, 1):
     for x2 in (0, 1):
-        print(f"  ({x1},{x2}) -> {rds.cnot_gate_rds(x1, x2, cal, grid, params)}")
+        print(f"  ({x1},{x2}) -> {rds.calibrated_gate((x1, x2), cal)}")

@@ -199,11 +199,13 @@ def write_payload(payload, out_path, fmt):
 
 # ---------------------------------------------------------------- backends
 
+# a spin index of the 2-spin register
+_SPIN_INDEX = _check(lambda v: type(v) is int and v in (0, 1), "0 or 1")
 _SPIN = {
     "j12": (_number, 0.1),
     "gate": (_choice("not", "cnot"), None),
-    "target": (_integer(0), 1),
-    "control": (_integer(0), 0),
+    "target": (_SPIN_INDEX, 1),
+    "control": (_SPIN_INDEX, 0),
     "initial": (_check(lambda v: _is_bits(v) and len(v) == 2, "a 2-bit string"), "00"),
     "shots": (_integer(0), 0),
 }
@@ -213,17 +215,26 @@ def _parse_spin(params):
     return _parse(params, _SPIN, "spin parameters")
 
 
-def _spin_segments(q, gate):
+def _spin_gate(q, gate):
+    """Pulse segments of a configured spin gate and its permutation oracle."""
     if gate == "not":
-        return spin.compile_not(q["target"])
-    return spin.compile_cnot(q["control"], q["target"], q["j12"])
+        return spin.compile_not(q["target"]), not_permutation(2, q["target"])
+    c, t = q["control"], q["target"]
+    return spin.compile_cnot(c, t, q["j12"]), cnot_permutation(2, c, t)
+
+
+def _spin_fidelity(q, gate):
+    """Unitary of a configured spin gate and its fidelity to the permutation."""
+    segments, perm = _spin_gate(q, gate)
+    u = spin.sequence_unitary(segments, 2, q["j12"])
+    return u, spin.gate_fidelity(permutation_matrix(perm), u)
 
 
 def run_spin(params, seed):
     q = _parse_spin(params)
     state = spin.SpinState.basis(q["initial"])
     if q["gate"] is not None:
-        state = spin.apply_sequence(state, _spin_segments(q, q["gate"]), q["j12"])
+        state = spin.apply_sequence(state, _spin_gate(q, q["gate"])[0], q["j12"])
     columns = ["basis", "re", "im", "probability"]
     counts = None
     if q["shots"] > 0:
@@ -368,21 +379,16 @@ def _parse_rds(params):
 
 def run_rds(params, seed):
     p, grid, fields, q = _parse_rds(params)
-    step = rds.default_step(grid, q["steps_per_domain"])
     if q["gate"] is None:
-        traj = rds.propagate(fields, grid, p, step)
+        traj = rds.propagate(fields, grid, p, rds.default_step(grid, q["steps_per_domain"]))
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
         return {"columns": columns, "rows": [list(r) for r in traj.csv_rows(q["sample_stride"])]}
-    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], step)
+    cal, gates = _rds_gates(params)
     if q["gate"] == "not":
         columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
     else:
         columns, table, threshold = ["x1", "x2", "y1", "y2"], CNOT_TABLE, cal.p_th3
-    gate = _rds_gates(cal)[q["gate"].upper()]
-    rows = []
-    for inputs in sorted(table):
-        observed, separation = gate(inputs)
-        rows.append([*inputs, *observed, separation, threshold])
+    rows = [[*r.inputs, *r.observed, r.margin, threshold] for r in _gate_rows(gates[q["gate"].upper()], table)]
     return {"columns": columns + ["separation", "threshold"], "rows": rows}
 
 
@@ -443,16 +449,15 @@ def _column_gate(u, margin=None):
     return evaluate
 
 
+def _gate_rows(gate, table):
+    """The gate run on each truth-table row, in input order."""
+    return [TruthTableRow(inputs, table[inputs], *gate(inputs)) for inputs in sorted(table)]
+
+
 def _spin_gates():
-    j12 = 0.1
-    gates = {}
-    for name, segments, perm in (
-        ("NOT", spin.compile_not(1), not_permutation(2, 1)),
-        ("CNOT", spin.compile_cnot(0, 1, j12), cnot_permutation(2, 0, 1)),
-    ):
-        u = spin.sequence_unitary(segments, 2, j12)
-        gates[name] = _column_gate(u, spin.gate_fidelity(permutation_matrix(perm), u))
-    return gates
+    """Gates of the default spin config, the margin their fidelity."""
+    q = _parse_spin({})
+    return {name: _column_gate(*_spin_fidelity(q, name.lower())) for name in ("NOT", "CNOT")}
 
 
 def _jones_gates():
@@ -460,20 +465,18 @@ def _jones_gates():
     return {name: _column_gate(jones.gate_matrix(2, network)) for name, network in networks.items()}
 
 
-def _rds_gates(cal):
-    """Threshold gates read from the calibrated levels; the margin is the level separation."""
-    return {
-        "NOT": lambda x: (rds.calibrated_gate(x, cal), min(cal.separation_sh, MARGIN_CAP)),
-        "CNOT": lambda x: (rds.calibrated_gate(x, cal), min(cal.separation_th, MARGIN_CAP)),
-    }
+def _rds_gates(params):
+    """Calibration of an rds config and its threshold gates, the margin their level separation."""
+    p, grid, _, q = _parse_rds(params)
+    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], rds.default_step(grid, q["steps_per_domain"]))
+
+    def gate(separation):
+        return lambda inputs: (rds.calibrated_gate(inputs, cal), min(separation, MARGIN_CAP))
+
+    return cal, {"NOT": gate(cal.separation_sh), "CNOT": gate(cal.separation_th)}
 
 
-def _default_rds_gates():
-    p = rds.default_params()
-    return _rds_gates(rds.calibrate_thresholds(rds.default_grid(p), p, rds.DEFAULT_BEAM_AMPLITUDE))
-
-
-_GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": _default_rds_gates}
+_GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": lambda: _rds_gates({})[1]}
 
 
 def verify_truth_tables(backends=("spin", "jones", "rds")):
@@ -482,17 +485,11 @@ def verify_truth_tables(backends=("spin", "jones", "rds")):
         if b not in _GATE_BUILDERS:
             raise ConfigError(f'unknown truth-table backend "{b}"')
     reports = []
+    tables = (("NOT", NOT_TABLE), ("CNOT", CNOT_TABLE))
     for b in backends:
         try:
             gates = _GATE_BUILDERS[b]()
-            backend_reports = []
-            for name, table in (("NOT", NOT_TABLE), ("CNOT", CNOT_TABLE)):
-                report = TruthTableReport(name, b)
-                for inputs, expected in sorted(table.items()):
-                    observed, margin = gates[name](inputs)
-                    report.rows.append(TruthTableRow(inputs, expected, observed, margin))
-                backend_reports.append(report)
-            reports.extend(backend_reports)
+            reports.extend([TruthTableReport(name, b, _gate_rows(gates[name], table)) for name, table in tables])
         except Exception as exc:  # isolate failures per backend
             reports.append(TruthTableReport("NOT+CNOT", b, rows=[], error=str(exc)))
     return reports
@@ -551,13 +548,7 @@ def _spin_sweep(params, name, values):
     rows = []
     for value in values:
         q = _parse_spin(dict(params, j12=value))
-        gate = q["gate"] or "cnot"
-        u = spin.sequence_unitary(_spin_segments(q, gate), 2, q["j12"])
-        if gate == "not":
-            perm = not_permutation(2, q["target"])
-        else:
-            perm = cnot_permutation(2, q["control"], q["target"])
-        rows.append([value, spin.gate_fidelity(permutation_matrix(perm), u)])
+        rows.append([value, _spin_fidelity(q, q["gate"] or "cnot")[1]])
     return ["value", "fidelity"], rows
 
 
@@ -663,7 +654,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (rds.CalibrationError, CutoffError, spin.GateCompilationError) as exc:
+    except (rds.CalibrationError, rds.DivergenceError, CutoffError, spin.GateCompilationError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except ValueError as exc:

@@ -29,12 +29,6 @@ def waveplate_matrix(delta: float, theta: float) -> np.ndarray:
     return rotation(theta) @ np.diag([1.0, np.exp(1j * delta)]) @ rotation(-theta)
 
 
-def su2_part(m: np.ndarray) -> np.ndarray:
-    """Divide out the global phase so the determinant is exactly 1."""
-    det = np.linalg.det(m)
-    return m / np.sqrt(det)
-
-
 @dataclass(frozen=True)
 class Waveplate:
     delta: float

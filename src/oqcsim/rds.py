@@ -17,17 +17,19 @@ complex array, through one step schedule: the domain signs and per-domain
 step counts are shared, while domain lengths, couplings and mismatches
 may differ per column.  It keeps a running max of |N - N0| per column
 over every step (the Manley-Rowe drift), and writes a (K, 3, B)
-trajectory only when asked.  `propagate` is the batch of one, with its
-trajectory.  `propagate_many` groups any list of cases by step schedule
-and makes one kernel call per group, so a sweep over amplitude, coupling
-or mismatch is a single integration.
+trajectory only when asked.  A non-finite exit field or flux raises
+DivergenceError.  `propagate` is the batch of one, with its trajectory.
+`propagate_many` groups any list of cases by step schedule and makes one
+kernel call per group, so a sweep over amplitude, coupling or mismatch
+is a single integration.
 
 Logic gates use phase coding: a bit b enters as an amplitude factor
 (-1)**b, interfered with an equal zero-phase bias beam, and the gate
 output is a threshold comparison on the second-harmonic (NOT) or
 third-harmonic (CNOT target) output power.  All logic inputs make only
 three distinct pumps (2A, 0, -2A), which calibration propagates in one
-kernel call and keeps as the logic levels.
+kernel call and keeps as the logic levels; `calibrated_gate` reads every
+gate output from those levels.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ class PhaseMatchedError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Logic levels are not separable; thresholds cannot be set."""
+
+
+class DivergenceError(ArithmeticError):
+    """The integration overflowed: an exit field or the photon flux is not finite."""
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,7 @@ _TERM_SUMS = np.array([0, 2, 4])
 _FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run raises at the end
 def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajectory=False):
     """Fixed-step RK4 of B independent field triples through one step schedule.
 
@@ -221,7 +228,9 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
     Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
     drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
     when a trajectory is asked for, the (K, B) sample positions and the
-    (K, 3, B) sampled fields (else None and None).
+    (K, 3, B) sampled fields (else None and None).  Raises DivergenceError
+    unless the exit fields and the drift are finite, which makes every
+    sampled flux finite too.
     """
     a = np.array(fields, dtype=complex)
     width = a.shape[1]
@@ -283,15 +292,9 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
                 samples[k] = a
         e_end = e[1]
     drift = np.divide(worst, n0, out=np.zeros(width), where=n0 > 0)
+    if not (np.isfinite(a).all() and np.isfinite(drift).all()):
+        raise DivergenceError("RK4 integration diverged: an exit field or the photon flux is not finite")
     return a, drift, zs, samples
-
-
-def _on_grid(fields, grid, params, step, trajectory=False):
-    """The kernel on columns that share one grid and one parameter set."""
-    return rk4(
-        fields, grid.signs, step_counts(grid, step), grid.lengths[:, None],
-        params.kappa_a, params.kappa_b, params.dk_a, params.dk_b, trajectory,
-    )
 
 
 def propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, step: float) -> Trajectory:
@@ -301,7 +304,10 @@ def propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, 
     of the domain length, preserving 4th-order accuracy across the
     discontinuous sign profile.  This is the kernel's batch of one.
     """
-    _, _, z, samples = _on_grid([[fields.a1], [fields.a2], [fields.a3]], grid, params, step, trajectory=True)
+    _, _, z, samples = rk4(
+        [[fields.a1], [fields.a2], [fields.a3]], grid.signs, step_counts(grid, step), grid.lengths[:, None],
+        params.kappa_a, params.kappa_b, params.dk_a, params.dk_b, trajectory=True,
+    )
     return Trajectory(z[:, 0], samples[:, :, 0])
 
 
@@ -369,7 +375,7 @@ def qpm_enhancement_check(
     else:
         grid = DomainGrid(np.array([total]), np.array([1.0]))
     pump = 1e-3 / (params.kappa_a * total)
-    final = _on_grid([[pump], [0.0], [0.0]], grid, params, lc / steps_per_domain)[0]
+    final = propagate_many([(FieldTriple(pump, 0.0, 0.0), grid, params, lc / steps_per_domain)])[0]
     matched_amp = 0.5 * params.kappa_a * pump**2 * total
     return float(abs(final[1, 0])) / matched_amp
 
@@ -384,37 +390,10 @@ class LogicThresholds:
 
     p_th2: float
     p_th3: float
-    bias_amplitude: float
     separation_sh: float
     separation_th: float
     sh_levels: Tuple[float, float, float]
     th_levels: Tuple[float, float, float]
-
-
-def _pump(x1: int, x2: int, amplitude: float) -> complex:
-    # Phase-coded bits: bit b enters as the amplitude factor (-1)**b.  A NOT
-    # bit is interfered with an equal zero-phase bias beam, the bit x2 = 0.
-    return complex(amplitude * ((-1.0) ** x1 + (-1.0) ** x2))
-
-
-def _output_powers(pumps, grid, params, step):
-    """P2(L) and P3(L) of each pump, all pumps in one kernel call."""
-    fields = np.zeros((3, len(pumps)), dtype=complex)
-    fields[0] = pumps
-    p = np.abs(_on_grid(fields, grid, params, step)[0]) ** 2
-    return p[1], p[2]
-
-
-def _gate_bits(inputs, p2, p3, cal: LogicThresholds):
-    """Output bits of NOT (one input bit) or CNOT (two) from the exit powers.
-
-    NOT outputs 1 iff P2(L) >= p_th2.  CNOT passes the control through;
-    equal bits interfere constructively and drive the cascaded third
-    harmonic high, so the XOR target is 1 iff P3(L) < p_th3.
-    """
-    if len(inputs) == 1:
-        return (1 if p2 >= cal.p_th2 else 0,)
-    return inputs[0], 1 if p3 < cal.p_th3 else 0
 
 
 def calibrate_thresholds(
@@ -430,16 +409,19 @@ def calibrate_thresholds(
     sits at the geometric mean of the bright and dark output-power levels
     of its channel (dark levels floored, since perfect destructive
     interference yields exactly zero power).  Raises CalibrationError when
-    the levels are separated by less than a factor 2.  Thresholds are only
-    valid for this beam amplitude; changing the amplitude requires
-    recalibration.
+    the levels are separated by less than a factor 2, as they are without
+    SFG coupling (kappa_b = 0), where every TH level is zero.  Thresholds
+    are only valid for this beam amplitude; changing the amplitude
+    requires recalibration.
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
     step = step if step is not None else default_step(grid)
 
-    pumps = [_pump(x1, x2, beam_amplitude) for x1, x2 in ((0, 0), (0, 1), (1, 1))]
-    sh, th = (tuple(float(x) for x in p) for p in _output_powers(pumps, grid, params, step))
+    # the pumps of inputs with 0, 1 and 2 one-bits (a NOT bit's bias beam is a 0)
+    pumps = (2.0 * beam_amplitude, 0.0, -2.0 * beam_amplitude)
+    powers = np.abs(propagate_many([(FieldTriple(a, 0.0, 0.0), grid, params, step) for a in pumps])[0]) ** 2
+    sh, th = (tuple(float(x) for x in p) for p in powers[1:])
 
     sh_high, sh_low = sh[0], sh[1]
     th_high = min(th[0], th[2])
@@ -460,44 +442,20 @@ def calibrate_thresholds(
         )
     p_th2 = math.sqrt(sh_high * max(sh_low, sh_high * DARK_FLOOR_RATIO))
     p_th3 = math.sqrt(th_high * max(th_low, th_high * DARK_FLOOR_RATIO))
-    return LogicThresholds(p_th2, p_th3, beam_amplitude, sep_sh, sep_th, sh, th)
+    return LogicThresholds(p_th2, p_th3, sep_sh, sep_th, sh, th)
 
 
 def calibrated_gate(inputs, cal: LogicThresholds):
-    """NOT (one input bit) or CNOT (two) read from the calibration's own levels."""
-    k = sum(inputs)
-    return _gate_bits(inputs, cal.sh_levels[k], cal.th_levels[k], cal)
+    """NOT (one input bit) or CNOT (two) read from the calibration's own levels.
 
-
-def not_gate_rds(
-    x: int,
-    cal: LogicThresholds,
-    grid: DomainGrid,
-    params: CoupledModeParams,
-    step: float | None = None,
-) -> int:
-    """NOT via the SH channel: output 1 iff P2(L) >= threshold."""
-    if x not in (0, 1):
-        raise ValueError("input bit must be 0 or 1")
-    step = step if step is not None else default_step(grid)
-    p2, p3 = _output_powers([_pump(x, 0, cal.bias_amplitude)], grid, params, step)
-    return _gate_bits((x,), p2[0], p3[0], cal)[0]
-
-
-def cnot_gate_rds(
-    x1: int,
-    x2: int,
-    cal: LogicThresholds,
-    grid: DomainGrid,
-    params: CoupledModeParams,
-    step: float | None = None,
-) -> Tuple[int, int]:
-    """CNOT: control passes through, target = 1 iff P3(L) < threshold."""
-    for x in (x1, x2):
-        if x not in (0, 1):
-            raise ValueError("input bits must be 0 or 1")
-    if params.kappa_b <= 0.0:
-        raise ValueError("CNOT needs an active SFG channel (kappa_b > 0)")
-    step = step if step is not None else default_step(grid)
-    p2, p3 = _output_powers([_pump(x1, x2, cal.bias_amplitude)], grid, params, step)
-    return _gate_bits((x1, x2), p2[0], p3[0], cal)
+    The inputs select their pump's exit powers P2(L) and P3(L).  NOT
+    outputs 1 iff P2(L) >= p_th2.  CNOT passes the control through; equal
+    bits interfere constructively and drive the cascaded third harmonic
+    high, so the XOR target is 1 iff P3(L) < p_th3.
+    """
+    if len(inputs) not in (1, 2) or any(x not in (0, 1) for x in inputs):
+        raise ValueError(f"gate inputs must be one or two bits, each 0 or 1, got {tuple(inputs)}")
+    k = int(sum(inputs))
+    if len(inputs) == 1:
+        return (1 if cal.sh_levels[k] >= cal.p_th2 else 0,)
+    return int(inputs[0]), 1 if cal.th_levels[k] < cal.p_th3 else 0

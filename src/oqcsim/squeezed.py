@@ -36,6 +36,12 @@ class SqueezedStateParams:
             raise ValueError(f"squeeze magnitude must be finite and >= 0, got {self.r}")
         if not (math.isfinite(self.theta) and math.isfinite(abs(complex(self.alpha)))):
             raise ValueError("parameters must be finite")
+        try:
+            finite = all(map(math.isfinite, _moments(self)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("photon-number mean or variance overflows")
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,18 @@ class PhotonStatistics:
     g2_zero: float  # nan when mean_n == 0
 
 
-def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
-    """Exact photon-number mean/variance of a displaced squeezed state."""
+def _moments(s: SqueezedStateParams):
+    """Photon-number mean and variance; an overflow gives inf or raises OverflowError."""
     alpha = complex(s.alpha)
     ch, sh = math.cosh(s.r), math.sinh(s.r)
     mean_n = abs(alpha) ** 2 + sh**2
-    var_n = abs(alpha * ch - alpha.conjugate() * np.exp(1j * s.theta) * sh) ** 2 + 2 * ch**2 * sh**2
+    var_n = abs(alpha * ch - alpha.conjugate() * cmath.exp(1j * s.theta) * sh) ** 2 + 2 * ch**2 * sh**2
+    return mean_n, var_n
+
+
+def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
+    """Exact photon-number mean/variance of a displaced squeezed state."""
+    mean_n, var_n = _moments(s)
     if mean_n > 0.0:
         q = (var_n - mean_n) / mean_n
         g2 = 1.0 + q / mean_n

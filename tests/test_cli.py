@@ -361,6 +361,20 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
             "grid_file": "grid.txt", "length": 0.5, "n_domains": 7, "steps_per_domain": 8}}, None),
         ("sweep", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO}, None),
         ("run", {"backend": "rds", "parameters": {"length": 0.0035, "n_domains": 7}}, None),
+        ("run", {"backend": "stats", "parameters": {"alpha": [1e160, 0], "r": 0.3}}, None),
+        ("run", {"backend": "stats", "parameters": {"alpha": [1e160, 0], "distribution": True}}, None),
+        ("run", {"backend": "stats", "parameters": {"r": 200}}, None),
+        ("run", {"backend": "stats", "parameters": {"r": 400}}, None),
+        ("run", {"backend": "stats", "parameters": {"r": 800}}, None),
+        (
+            "sweep",
+            {
+                "backend": "stats",
+                "parameters": {},
+                "sweep": {"parameter": "r", "start": 0.0, "stop": 1e300, "count": 5},
+            },
+            None,
+        ),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -383,6 +397,12 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "rds-grid-file-with-length",
         "rds-sweep-dk-a-through-zero-on-qpm-grid",
         "rds-n-domains-with-length",
+        "stats-alpha-moments-overflow",
+        "stats-alpha-distribution-moments-overflow",
+        "stats-r-200-variance-overflow",
+        "stats-r-400-moments-overflow",
+        "stats-r-800-moments-overflow",
+        "stats-sweep-r-to-1e300",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
@@ -397,6 +417,31 @@ def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("run", {"backend": "rds", "parameters": {"kappa_a": 1e200}}),
+        ("run", {"backend": "rds", "parameters": {"a1": [1e200, 0.0]}}),
+        ("sweep", {
+            "backend": "rds",
+            "parameters": {"kappa_a": 1e200},
+            "sweep": {"parameter": "beam_amplitude", "start": 0.02, "stop": 0.3, "count": 5},
+        }),
+        ("run", {"backend": "rds", "parameters": {"kappa_a": 1e200, "gate": "not"}}),
+        ("run", {"backend": "rds", "parameters": {"beam_amplitude": 1e200, "gate": "cnot"}}),
+    ],
+    ids=["run-kappa-a", "run-a1", "sweep-beam-amplitude", "gate-kappa-a", "gate-beam-amplitude"],
+)
+def test_diverging_rds_integration_is_one_line_physics_error(tmp_path, capsys, recwarn, command, cfg):
+    argv = [command, "--config", write_config(tmp_path, "diverge.json", cfg)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("physics error:"), captured.err
+    assert len(recwarn) == 0
 
 
 def test_truthtable_unwritable_out_is_config_error(tmp_path, capsys):

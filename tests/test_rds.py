@@ -258,16 +258,16 @@ def test_calibration_separation(calibrated):
 
 
 def test_not_gate_truth_table(calibrated):
-    p, grid, cal = calibrated
-    assert rds.not_gate_rds(0, cal, grid, p) == 1
-    assert rds.not_gate_rds(1, cal, grid, p) == 0
+    _, _, cal = calibrated
+    assert rds.calibrated_gate((0,), cal) == (1,)
+    assert rds.calibrated_gate((1,), cal) == (0,)
 
 
 def test_cnot_gate_truth_table(calibrated):
-    p, grid, cal = calibrated
+    _, _, cal = calibrated
     expected = {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 1), (1, 1): (1, 0)}
-    for (x1, x2), want in expected.items():
-        assert rds.cnot_gate_rds(x1, x2, cal, grid, p) == want
+    for inputs, want in expected.items():
+        assert rds.calibrated_gate(inputs, cal) == want
 
 
 def test_calibration_fails_without_sh_coupling():
@@ -284,18 +284,39 @@ def test_calibration_rejects_nonpositive_amplitude(calibrated):
 
 
 def test_gate_input_validation(calibrated):
-    p, grid, cal = calibrated
+    _, _, cal = calibrated
     with pytest.raises(ValueError):
-        rds.not_gate_rds(2, cal, grid, p)
+        rds.calibrated_gate((2,), cal)
     with pytest.raises(ValueError):
-        rds.cnot_gate_rds(0, -1, cal, grid, p)
+        rds.calibrated_gate((0, -1), cal)
+
+
+def test_calibrated_gate_rejects_invalid_inputs(calibrated):
+    _, _, cal = calibrated
+    for inputs in [(-1,), (0, 0, 1), (), (1, 2), (0, 0.5)]:
+        with pytest.raises(ValueError):
+            rds.calibrated_gate(inputs, cal)
 
 
 def test_cnot_needs_sfg_coupling(calibrated):
-    _, grid, cal = calibrated
+    # without SFG the third harmonic stays dark for every pump
+    _, grid, _ = calibrated
     p = rds.CoupledModeParams(1.0, 0.0, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
-    with pytest.raises(ValueError):
-        rds.cnot_gate_rds(0, 0, cal, grid, p)
+    with pytest.raises(rds.CalibrationError, match=r"TH bright=0\.000e\+00 dark=0\.000e\+00"):
+        rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
+
+
+@pytest.mark.parametrize("kappa_a,a1", [(1e200, 0.1), (1.0, 1e200)], ids=["kappa_a", "a1"])
+def test_diverging_integration_raises(recwarn, kappa_a, a1):
+    p = rds.CoupledModeParams(kappa_a, 1.0, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
+    grid = rds.default_grid(p, n_domains=5)
+    step = rds.default_step(grid)
+    with pytest.raises(rds.DivergenceError):
+        rds.propagate(rds.FieldTriple(a1, 0.0, 0.0), grid, p, step)
+    healthy = (rds.FieldTriple(0.1, 0.0, 0.0), grid, rds.default_params(), step)
+    with pytest.raises(rds.DivergenceError):
+        rds.propagate_many([healthy, (rds.FieldTriple(a1, 0.0, 0.0), grid, p, step)])
+    assert len(recwarn) == 0
 
 
 def test_trajectory_csv_rows(calibrated):
@@ -410,12 +431,3 @@ def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
         assert cal.sh_levels[k] == pytest.approx(abs(ref.a2) ** 2, rel=1e-12, abs=0.0)
         assert cal.th_levels[k] == pytest.approx(abs(ref.a3) ** 2, rel=1e-12, abs=0.0)
     assert cal.sh_levels[1] == 0.0 and cal.th_levels[1] == 0.0
-
-
-def test_calibrated_gate_agrees_with_propagating_gates(calibrated):
-    p, grid, cal = calibrated
-    for x in (0, 1):
-        assert rds.calibrated_gate((x,), cal) == (rds.not_gate_rds(x, cal, grid, p),)
-    for x1 in (0, 1):
-        for x2 in (0, 1):
-            assert rds.calibrated_gate((x1, x2), cal) == rds.cnot_gate_rds(x1, x2, cal, grid, p)
