@@ -15,9 +15,13 @@ discontinuous s(z) never falls inside a step.
 One kernel, `rk4`, integrates a batch of B independent beams, a (3, B)
 complex array, through one step schedule: the domain signs and per-domain
 step counts are shared, while domain lengths, couplings and mismatches
-may differ per column.  It keeps a running max of |N - N0| per column
-over every step (the Manley-Rowe drift), and writes a (K, 3, B)
-trajectory only when asked.  A non-finite exit field or flux raises
+may differ per column.  The steps of a domain run in blocks of at most
+64: per block, one np.exp gives e^{i dkA z} and e^{i dkB z} at every
+midpoint and step end, the other three phase factors being their
+conjugates (2 exps per point), and the photon flux N of the whole block
+is checked at once.  It keeps a running max of |N - N0| per column over
+every step (the Manley-Rowe drift), and writes a (K, 3, B) trajectory
+only when asked.  A non-finite exit field or flux raises
 DivergenceError.  `propagate` is the batch of one, with its trajectory.
 `propagate_many` groups any list of cases by step schedule and makes one
 kernel call per group, so a sweep over amplitude, coupling or mismatch
@@ -205,10 +209,15 @@ def step_counts(grid: DomainGrid, step: float) -> np.ndarray:
 # The right-hand side is five coupling terms, each a product of two field
 # factors: conj(a1) a2, conj(a2) a3 | a1 a1, conj(a1) a3 | a1 a2, summed
 # in pairs into da1, da2 | da3.  Rows 0-2 of the factor table hold the
-# conjugated fields, rows 3-5 the fields.
+# conjugated fields, rows 3-5 the fields.  The term buffer has a sixth row
+# of -0, the exact additive identity, so da3 is t4 + (-0) = t4 bit for bit.
 _FACTORS = np.array([0, 1, 3, 0, 3, 4, 5, 3, 5, 4])
-_TERM_SUMS = np.array([0, 2, 4])
 _FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
+# The five terms' phase factors e^{i dk z} are e^{i dkA z}, e^{i dkB z} and
+# the conjugates of e^{i dkA z}, e^{i dkB z}, e^{i dkB z} (rows 2 and 4).
+_LEGS = np.array([0, 1, 0, 1, 1])
+# Steps per block: one phase table and one flux check each.
+_BLOCK = 64
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run raises at the end
@@ -221,9 +230,15 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
     (scalars or (B,)) may differ per column.  Steps never cross a domain
     boundary, so the discontinuous sign profile keeps 4th-order accuracy.
 
-    Each step evaluates the phase factors twice, at the midpoint and at
-    the step end; the step start reuses the previous step's end.  The
-    photon flux N is checked after every step for the Manley-Rowe drift.
+    The steps of a domain run in blocks of at most _BLOCK.  Per block, one
+    np.exp gives e^{i dkA z} and e^{i dkB z} at every step's midpoint and
+    end (the step start reuses the previous step's end), and the other
+    three phase factors are their conjugates: 2 exps per point.  The
+    positions are running sums from the current z, bitwise those of
+    z += h.  Each step writes its fields into a block buffer, and the
+    photon flux N of the whole block is then checked for the Manley-Rowe
+    drift, so every step counts.  The stages run in buffers allocated once
+    per call.
 
     Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
     drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
@@ -238,59 +253,84 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
     kappa_a, kappa_b, dk_a, dk_b = (
         np.broadcast_to(np.asarray(x, dtype=float), width) for x in (kappa_a, kappa_b, dk_a, dk_b)
     )
-    # per coupling term: i dk of its phase factor e^{i dk z}, and i kappa
-    phase = 1j * np.array([dk_a, dk_b, -dk_a, dk_b, -dk_b])
+    # i dk of e^{i dkA z} and e^{i dkB z}, and i kappa per coupling term
+    phase = 1j * np.array([dk_a, dk_b])
     coupling = 1j * np.array([kappa_a, kappa_b, 0.5 * kappa_a, kappa_b, kappa_b])
-    factors = np.empty((6, width), dtype=complex)
 
-    def derivs(a, c):
-        np.conjugate(a, out=factors[:3])
-        factors[3:] = a
-        pairs = factors.take(_FACTORS, axis=0)
-        terms = pairs[:5] * pairs[5:]
-        terms *= c
-        return np.add.reduceat(terms, _TERM_SUMS)
+    factors = np.empty((6, width), dtype=complex)
+    conj_a, stage = factors[:3], factors[3:]
+    pairs = np.empty((10, width), dtype=complex)
+    left, right = pairs[:5], pairs[5:]
+    terms = np.empty((6, width), dtype=complex)
+    terms[5] = complex(-0.0, -0.0)
+    products, firsts, seconds = terms[:5], terms[0::2], terms[1::2]
+    k1, k2, k3, k4 = np.empty((4, 3, width), dtype=complex)
+    # z after 0..m steps of a block (row 0 is the current z), the block's
+    # midpoint and end positions interleaved, and the fields after each step
+    ends = np.zeros((_BLOCK + 1, width))
+    points = np.empty((2 * _BLOCK, width))
+    block_fields = np.empty((_BLOCK, 3, width), dtype=complex)
+
+    def derivs(c, out):
+        # the stage input is already in the field rows
+        np.conjugate(stage, out=conj_a)
+        factors.take(_FACTORS, axis=0, out=pairs, mode="clip")
+        np.multiply(left, right, out=products)
+        np.multiply(products, c, out=products)
+        np.add(firsts, seconds, out=out)
 
     def flux(a):
         return _FLUX_WEIGHTS @ (np.abs(a) ** 2)
 
     n0 = flux(a)
     worst = np.zeros(width)
-    z = np.zeros(width)
     e_end = np.ones((5, width), dtype=complex)
     zs = samples = None
+    k = 0
     if trajectory:
-        k = 0
         zs = np.zeros((1 + int(np.sum(n_steps)), width))
         samples = np.empty((zs.shape[0], 3, width), dtype=complex)
         samples[0] = a
     for s, n, h in zip(signs, n_steps, h_all):
         c = s * coupling
-        c_end = c * e_end
-        offsets = np.array([0.5 * h, h])
         half, sixth = 0.5 * h, h / 6.0
-        for _ in range(n):
-            zz = z + offsets
-            c_start = c_end
-            e = np.exp(phase * zz[:, None, :])
-            c_mid, c_end = c * e
-            k1 = derivs(a, c_start)
-            k2 = derivs(a + half * k1, c_mid)
-            k3 = derivs(a + half * k2, c_mid)
-            k4 = derivs(a + h * k3, c_end)
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= sixth
-            a += k2
-            z = zz[1]
-            np.maximum(worst, np.abs(flux(a) - n0), out=worst)
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            z, pts = ends[: m + 1], points[: 2 * m]
+            z[1:] = h
+            np.add.accumulate(z, axis=0, out=z)
+            np.add(z[:-1], half, out=pts[0::2])
+            pts[1::2] = z[1:]
+            e = np.exp(phase * pts[:, None, :]).take(_LEGS, axis=1)
+            np.conjugate(e[:, 2::2], out=e[:, 2::2])
+            c_first = c * e_end  # the block's first step starts where the last one ended
+            e_end = e[-1]
+            ce = c * e
+            rows = samples[k + 1 : k + 1 + m] if trajectory else block_fields[:m]
+            for row, c_start, c_mid, c_end in zip(rows, (c_first, *ce[1::2]), ce[0::2], ce[1::2]):
+                stage[...] = a
+                derivs(c_start, k1)
+                np.multiply(half, k1, out=stage)
+                stage += a
+                derivs(c_mid, k2)
+                np.multiply(half, k2, out=stage)
+                stage += a
+                derivs(c_mid, k3)
+                np.multiply(h, k3, out=stage)
+                stage += a
+                derivs(c_end, k4)
+                k2 += k3
+                k2 *= 2.0
+                k2 += k1
+                k2 += k4
+                k2 *= sixth
+                a += k2
+                row[...] = a
             if trajectory:
-                k += 1
-                zs[k] = z
-                samples[k] = a
-        e_end = e[1]
+                zs[k + 1 : k + 1 + m] = z[1:]
+            k += m
+            ends[0] = z[-1]
+            np.maximum(worst, np.abs(flux(rows) - n0).max(axis=0), out=worst)
     drift = np.divide(worst, n0, out=np.zeros(width), where=n0 > 0)
     if not (np.isfinite(a).all() and np.isfinite(drift).all()):
         raise DivergenceError("RK4 integration diverged: an exit field or the photon flux is not finite")

@@ -37,11 +37,13 @@ class SqueezedStateParams:
         if not (math.isfinite(self.theta) and math.isfinite(abs(complex(self.alpha)))):
             raise ValueError("parameters must be finite")
         try:
-            finite = all(map(math.isfinite, _moments(self)))
+            stats = _statistics(self)
+            # vacuum's Mandel Q and g2(0) are nan by definition
+            finite = all(map(math.isfinite, stats[:2] if stats[0] == 0.0 else stats))
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError("photon-number mean or variance overflows")
+            raise ValueError("photon-number statistics overflow: mean, variance, Mandel Q or g2(0)")
 
 
 @dataclass(frozen=True)
@@ -52,25 +54,24 @@ class PhotonStatistics:
     g2_zero: float  # nan when mean_n == 0
 
 
-def _moments(s: SqueezedStateParams):
-    """Photon-number mean and variance; an overflow gives inf or raises OverflowError."""
+def _statistics(s: SqueezedStateParams):
+    """Photon-number mean, variance, Mandel Q and g2(0); an overflow gives inf or raises OverflowError."""
     alpha = complex(s.alpha)
     ch, sh = math.cosh(s.r), math.sinh(s.r)
     mean_n = abs(alpha) ** 2 + sh**2
     var_n = abs(alpha * ch - alpha.conjugate() * cmath.exp(1j * s.theta) * sh) ** 2 + 2 * ch**2 * sh**2
-    return mean_n, var_n
-
-
-def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
-    """Exact photon-number mean/variance of a displaced squeezed state."""
-    mean_n, var_n = _moments(s)
     if mean_n > 0.0:
         q = (var_n - mean_n) / mean_n
         g2 = 1.0 + q / mean_n
     else:
         q = math.nan
         g2 = math.nan
-    return PhotonStatistics(mean_n, var_n, q, g2)
+    return mean_n, var_n, q, g2
+
+
+def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
+    """Exact photon-number mean/variance of a displaced squeezed state."""
+    return PhotonStatistics(*_statistics(s))
 
 
 def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
@@ -100,7 +101,9 @@ def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> n
             prev, psi, scale = prev / _RESCALE, psi / _RESCALE, scale + _LOG_RESCALE
         amplitudes.append(psi)
         scales.append(scale)
-    p = np.abs(amplitudes) ** 2 * np.exp(2.0 * np.array(scales))
+    # amplitudes near |alpha| ~ 1e150 overflow here; the nan tail raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(amplitudes) ** 2 * np.exp(2.0 * np.array(scales))
     tail = max(abs(1.0 - p.sum()), float(p[-1]))
     if not tail <= 1e-10:
         raise CutoffError(f"tail mass {tail:.3e} exceeds 1e-10 at cutoff {cutoff}")

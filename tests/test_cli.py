@@ -366,6 +366,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         ("run", {"backend": "stats", "parameters": {"r": 200}}, None),
         ("run", {"backend": "stats", "parameters": {"r": 400}}, None),
         ("run", {"backend": "stats", "parameters": {"r": 800}}, None),
+        ("run", {"backend": "stats", "parameters": {"r": 1e-160}}, None),
         (
             "sweep",
             {
@@ -402,6 +403,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "stats-r-200-variance-overflow",
         "stats-r-400-moments-overflow",
         "stats-r-800-moments-overflow",
+        "stats-g2-overflow",
         "stats-sweep-r-to-1e300",
     ],
 )
@@ -451,20 +453,35 @@ def test_truthtable_unwritable_out_is_config_error(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("config error:")
 
 
-def test_module_entry_point_runs_without_warnings():
+def run_module_with_warnings_as_errors(*args):
     root = Path(__file__).parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "oqcsim.cli", "version"],
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oqcsim.cli", *args],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_module_entry_point_runs_without_warnings():
+    result = run_module_with_warnings_as_errors("version")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == oqcsim.__version__
     assert result.stderr == ""
+
+
+def test_overflowing_distribution_is_one_line_physics_error_without_warnings(tmp_path):
+    # the amplitudes overflow float range; numpy must not warn before the tail check fails
+    params = {"alpha": [1e150, 0], "distribution": True}
+    cfg = write_config(tmp_path, "overflow.json", {"backend": "stats", "parameters": params})
+    result = run_module_with_warnings_as_errors("run", "--config", cfg)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("physics error:"), result.stderr
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,3 +432,40 @@ def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
         assert cal.sh_levels[k] == pytest.approx(abs(ref.a2) ** 2, rel=1e-12, abs=0.0)
         assert cal.th_levels[k] == pytest.approx(abs(ref.a3) ** 2, rel=1e-12, abs=0.0)
     assert cal.sh_levels[1] == 0.0 and cal.th_levels[1] == 0.0
+
+
+# ---------------------------------------------------------------- steps in blocks
+
+# one unpoled domain of four coherence lengths, far more steps than one block
+LONG_DOMAIN = 2e-3
+
+
+def long_domain_cases(n_steps):
+    p = rds.default_params()
+    grid = single_domain(LONG_DOMAIN)
+    return [(rds.FieldTriple(a1, 0.0, 0.0), grid, p, LONG_DOMAIN / n_steps) for a1 in (0.2, -0.1)]
+
+
+def test_long_domain_blocks_match_scalar_reference():
+    cases = long_domain_cases(10_000)
+    final, drift = rds.propagate_many(cases)
+    assert_matches_reference(cases, final, drift)
+    # the positions of every block continue z += h bit for bit
+    fields, grid, p, step = cases[0]
+    traj = rds.propagate(fields, grid, p, step)
+    ref = reference_propagate(fields, grid, p, step)
+    assert traj.z.shape == (10_001,) and np.array_equal(traj.z, ref.z)
+    assert np.max(np.abs(traj.fields - ref.fields)) <= 1e-12 * 0.2
+
+
+def test_kernel_memory_does_not_grow_with_domain_steps():
+    def peak(n_steps):
+        cases = long_domain_cases(n_steps)
+        tracemalloc.start()
+        try:
+            rds.propagate_many(cases)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(20_000) - peak(5_000)) < 64 * 1024
