@@ -39,6 +39,8 @@ BACKENDS = ("spin", "jones", "rds", "stats")
 
 # Cap on reported level-separation margins so JSON output stays finite.
 MARGIN_CAP = 1e30
+# Largest spin "shots": the multinomial sampler counts in int64.
+MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(Exception):
@@ -201,13 +203,14 @@ def write_payload(payload, out_path, fmt):
 
 # a spin index of the 2-spin register
 _SPIN_INDEX = _check(lambda v: type(v) is int and v in (0, 1), "0 or 1")
+_SHOTS = _check(lambda v: type(v) is int and 0 <= v <= MAX_SHOTS, f"an integer from 0 to {MAX_SHOTS}")
 _SPIN = {
     "j12": (_number, 0.1),
     "gate": (_choice("not", "cnot"), None),
     "target": (_SPIN_INDEX, 1),
     "control": (_SPIN_INDEX, 0),
     "initial": (_check(lambda v: _is_bits(v) and len(v) == 2, "a 2-bit string"), "00"),
-    "shots": (_integer(0), 0),
+    "shots": (_SHOTS, 0),
 }
 
 

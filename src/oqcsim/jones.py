@@ -5,7 +5,10 @@ basis index k maps to spatial mode k >> 1 and polarization k & 1
 (H = 0, V = 1), i.e. the last qubit is the polarization bit and the
 remaining qubits form the spatial-mode index (qubit 0 most significant).
 Gates are networks of waveplates, rotators and polarizing beam splitters
-acting on classical coherent amplitudes.
+acting on classical coherent amplitudes.  A network is applied to a
+batch of registers one layer at a time, a layer being elements on
+disjoint modes, and every amplitude comes out bitwise as it does when
+the elements are applied one by one.
 """
 
 from __future__ import annotations
@@ -111,23 +114,74 @@ def decode_state(reg: ModeRegister) -> np.ndarray:
     return reg.amplitudes.flatten()
 
 
-def _propagate(amps, elements):
-    """Apply elements in order, in place, to a batch of B registers of shape (M, 2, B)."""
-    n_modes = amps.shape[0]
+def _plate_key(element):
+    """Type and angle bits of a waveplate or rotator: equal keys give bitwise-equal Jones matrices.
+
+    0.0 == -0.0, but the two signs of zero give different signed zeros in
+    the matrix, so the angles are keyed by their bit patterns; and by their
+    type, since numpy computes a float32 angle's matrix in float32.
+    """
+    angles = (element.delta, element.theta) if isinstance(element, Waveplate) else (element.angle,)
+    return (type(element),) + tuple((type(a), float(a).hex()) for a in angles)
+
+
+def _layers(elements, n_modes):
+    """Validate every element, then schedule each one as early as it can go.
+
+    An element joins the layer after the last layer that touched any of
+    its modes, so the elements of one layer act on disjoint modes and each
+    mode still sees its elements in network order.  A layer is
+    (PBS modes a, PBS modes b, {plate key: (element, modes)}).  An element
+    with no modes touches nothing and is dropped.
+    """
+    layers = []
+    last = [-1] * n_modes  # last layer that touched each mode
     for element in elements:
         if isinstance(element, PBSSwap):
             a, b = element.mode_a, element.mode_b
             if not (0 <= a < n_modes and 0 <= b < n_modes) or a == b:
                 raise ValueError(f"invalid PBS mode pair ({a}, {b})")
-            amps[[a, b], V] = amps[[b, a], V]
+            modes = (a, b)
         elif isinstance(element, (Waveplate, Rotator)):
             modes = list(range(n_modes) if element.modes is None else element.modes)
             # every listed mode is updated at once, so a repeated mode would be rotated once
             if len(set(modes)) < len(modes) or not all(0 <= m < n_modes for m in modes):
                 raise ValueError(f"invalid mode indices {element.modes} for {n_modes} modes")
-            amps[modes] = element.jones() @ amps[modes]
+            if not modes:
+                continue
         else:
             raise TypeError(f"unknown optical element {element!r}")
+        k = 1 + max(last[m] for m in modes)
+        if k == len(layers):
+            layers.append(([], [], {}))
+        swaps_a, swaps_b, plates = layers[k]
+        if isinstance(element, PBSSwap):
+            swaps_a.append(a)
+            swaps_b.append(b)
+        else:
+            plates.setdefault(_plate_key(element), (element, []))[1].extend(modes)
+        for m in modes:
+            last[m] = k
+    return layers
+
+
+def _propagate(amps, elements):
+    """Apply elements in network order, in place, to a batch of B registers of shape (M, 2, B).
+
+    The network runs one layer of disjoint elements at a time: all PBS
+    swaps of a layer are one indexed assignment, and all plates of a layer
+    with the same Jones matrix are one 2x2 product over their modes.  Each
+    mode meets the same products in the same order as element by element,
+    so the result is bitwise the same.
+    """
+    matrices = {}
+    for swaps_a, swaps_b, plates in _layers(elements, amps.shape[0]):
+        if swaps_a:
+            amps[swaps_a + swaps_b, V] = amps[swaps_b + swaps_a, V]
+        for key, (element, modes) in plates.items():
+            if key not in matrices:
+                matrices[key] = element.jones()
+            amps[modes] = matrices[key] @ amps[modes]
     return amps
 
 

@@ -10,6 +10,7 @@ angular-frequency units).  Basis states are ordered |00>, |01>, |10>,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -72,9 +73,23 @@ class HardRotation:
         _check_finite(axis_angle=self.axis_angle, rotation_angle=self.rotation_angle)
 
     def matrix(self):
-        axis = math.cos(self.axis_angle) * SIGMA_X + math.sin(self.axis_angle) * SIGMA_Y
-        half = 0.5 * self.rotation_angle
-        return math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
+        return _rotation_matrix(self.axis_angle, self.rotation_angle).copy()
+
+
+@functools.lru_cache(maxsize=1024)
+def _rotation_matrix(axis_angle, rotation_angle):
+    """The read-only matrix of a hard rotation, built once per pair of angles.
+
+    Keyed by value, so 0.0 and -0.0 share an entry.  That is exact: a
+    zero angle has cosine 1, so every signed zero its sine yields is added
+    to, or subtracted from, a +0 or nonzero term, and both signs give the
+    same matrix bits.
+    """
+    axis = math.cos(axis_angle) * SIGMA_X + math.sin(axis_angle) * SIGMA_Y
+    half = 0.5 * rotation_angle
+    m = math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,8 @@ def _propagate(psi, segments, j12):
         if isinstance(seg, HardRotation):
             if not 0 <= seg.spin < n:
                 raise ValueError(f"spin index {seg.spin} out of range for n={n}")
-            psi = (seg.matrix() @ psi.reshape(2**seg.spin, 2, -1)).reshape(psi.shape)
+            rot = _rotation_matrix(seg.axis_angle, seg.rotation_angle)
+            psi = (rot @ psi.reshape(2**seg.spin, 2, -1)).reshape(psi.shape)
         elif isinstance(seg, FreeCouplingEvolution):
             if n != 2:
                 raise ValueError("coupling evolution is defined for the 2-spin register")

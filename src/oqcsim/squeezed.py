@@ -38,20 +38,24 @@ class SqueezedStateParams:
             raise ValueError("parameters must be finite")
         try:
             stats = _statistics(self)
-            # vacuum's Mandel Q and g2(0) are nan by definition
-            finite = all(map(math.isfinite, stats[:2] if stats[0] == 0.0 else stats))
+            # only the vacuum's Mandel Q and g2(0) are nan by definition; any
+            # other state with a zero mean has a mean that underflowed
+            vacuum = complex(self.alpha) == 0 and self.r == 0.0
+            finite = all(map(math.isfinite, stats[:2] if vacuum else stats))
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError("photon-number statistics overflow: mean, variance, Mandel Q or g2(0)")
+            raise ValueError(
+                "photon-number statistics out of float range: mean, variance, Mandel Q or g2(0)"
+            )
 
 
 @dataclass(frozen=True)
 class PhotonStatistics:
     mean_n: float
     var_n: float
-    mandel_q: float  # nan when mean_n == 0
-    g2_zero: float  # nan when mean_n == 0
+    mandel_q: float  # nan for the vacuum
+    g2_zero: float  # nan for the vacuum
 
 
 def _statistics(s: SqueezedStateParams):

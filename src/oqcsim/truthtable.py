@@ -49,17 +49,24 @@ def bits_index(bits):
     return index
 
 
+def _qubit_shift(n, qubit):
+    """Bit position of a qubit in a basis index, leftmost qubit most significant."""
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for n={n}")
+    return n - 1 - qubit
+
+
 def not_permutation(n, target):
     """Index permutation of NOT on qubit `target` of an n-qubit register."""
-    return np.array(
-        [bits_index(apply_not(index_bits(i, n), target)) for i in range(2**n)]
-    )
+    return np.arange(2**n) ^ (1 << _qubit_shift(n, target))
 
 
 def cnot_permutation(n, control, target):
-    return np.array(
-        [bits_index(apply_cnot(index_bits(i, n), control, target)) for i in range(2**n)]
-    )
+    if control == target:
+        raise ValueError("control and target must differ")
+    c, t = _qubit_shift(n, control), _qubit_shift(n, target)
+    i = np.arange(2**n)
+    return i ^ (((i >> c) & 1) << t)
 
 
 def permutation_matrix(perm):

@@ -92,23 +92,24 @@ def test_rds_gate_mode_outputs_truth_table(tmp_path):
 
 def test_run_spin_with_measurement(tmp_path):
     out = tmp_path / "spin.csv"
-    cfg = write_config(
-        tmp_path,
-        "spin.json",
-        {
-            "backend": "spin",
-            "parameters": {"gate": "cnot", "initial": "10", "shots": 100},
-            "seed": 5,
-            "output": {"path": str(out)},
-        },
-    )
-    assert cli.main(["run", "--config", cfg]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "basis,re,im,probability,counts"
-    row11 = lines[4].split(",")
-    assert row11[0] == "11"
-    assert float(row11[3]) == pytest.approx(1.0, abs=1e-9)
-    assert row11[4] == "100"
+    for shots in (100, cli.MAX_SHOTS):
+        cfg = write_config(
+            tmp_path,
+            "spin.json",
+            {
+                "backend": "spin",
+                "parameters": {"gate": "cnot", "initial": "10", "shots": shots},
+                "seed": 5,
+                "output": {"path": str(out)},
+            },
+        )
+        assert cli.main(["run", "--config", cfg]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "basis,re,im,probability,counts"
+        row11 = lines[4].split(",")
+        assert row11[0] == "11"
+        assert float(row11[3]) == pytest.approx(1.0, abs=1e-9)
+        assert row11[4] == str(shots)
 
 
 def test_run_jones_with_elements(tmp_path):
@@ -367,6 +368,10 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         ("run", {"backend": "stats", "parameters": {"r": 400}}, None),
         ("run", {"backend": "stats", "parameters": {"r": 800}}, None),
         ("run", {"backend": "stats", "parameters": {"r": 1e-160}}, None),
+        ("run", {"backend": "stats", "parameters": {"r": 1e-170}}, None),
+        ("run", {"backend": "stats", "parameters": {"alpha": [1e-170, 0]}}, None),
+        ("run", {"backend": "spin", "parameters": {"shots": 10**29}}, None),
+        ("run", {"backend": "spin", "parameters": {"shots": 2**63}}, None),
         (
             "sweep",
             {
@@ -404,6 +409,10 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "stats-r-400-moments-overflow",
         "stats-r-800-moments-overflow",
         "stats-g2-overflow",
+        "stats-r-mean-underflow",
+        "stats-alpha-mean-underflow",
+        "spin-shots-1e29",
+        "spin-shots-2-to-63",
         "stats-sweep-r-to-1e300",
     ],
 )

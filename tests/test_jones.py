@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def reference_gate_matrix(n, elements):
         for j in range(dim):
             u[j, k] = amps[j >> 1, j & 1]
     return u
+
+
+def sequential_gate_matrix(n, elements):
+    """The element-by-element batched loop that the layer kernel replaced.
+
+    Every element is one pass over the identity batch, in network order;
+    kept as the bitwise reference of gate_matrix.
+    """
+    dim = 2**n
+    amps = np.eye(dim, dtype=complex).reshape(dim // 2, 2, dim)
+    for e in elements:
+        if isinstance(e, jones.PBSSwap):
+            amps[[e.mode_a, e.mode_b], jones.V] = amps[[e.mode_b, e.mode_a], jones.V]
+        else:
+            modes = list(range(dim // 2) if e.modes is None else e.modes)
+            amps[modes] = e.jones() @ amps[modes]
+    return amps.reshape(dim, dim)
 
 
 def random_network(rng, n):
@@ -205,6 +223,96 @@ def test_kernel_matches_column_reference_on_random_networks(n):
         reg = random_register(rng, n)
         out = jones.decode_state(jones.apply_network(reg, network))
         assert np.max(np.abs(out - reference @ jones.decode_state(reg))) <= 1e-14
+
+
+def layered_network(rng, n):
+    """Elements that stress the layer schedule.
+
+    Plates on all modes (modes=None), on no mode (modes=()), on one mode
+    (chains on the same mode) or on random subsets; angles from a small
+    set holding both signs of zero, so plates of 0.0 and -0.0 often share
+    a layer; and PBS swaps.
+    """
+    n_modes = 2 ** (n - 1)
+    angles = (0.0, -0.0, math.pi, math.pi / 4, -math.pi / 4)
+
+    def angle():
+        return angles[rng.integers(len(angles))] if rng.random() < 0.8 else rng.uniform(-math.pi, math.pi)
+
+    elements = []
+    for _ in range(rng.integers(1, 25)):
+        shape = rng.integers(4)
+        if shape == 0:
+            modes = None
+        elif shape == 1:
+            modes = ()
+        elif shape == 2:
+            modes = (int(rng.integers(n_modes)),)
+        else:
+            modes = tuple(int(m) for m in rng.choice(n_modes, size=rng.integers(1, n_modes + 1), replace=False))
+        choice = rng.integers(3)
+        if choice == 0:
+            elements.append(jones.Waveplate(angle(), angle(), modes))
+        elif choice == 1:
+            elements.append(jones.Rotator(angle(), modes))
+        elif n_modes > 1:
+            a, b = rng.choice(n_modes, size=2, replace=False)
+            elements.append(jones.PBSSwap(int(a), int(b)))
+    return elements
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_layer_kernel_is_bitwise_the_sequential_loop(n):
+    networks = [jones.not_network(n, q) for q in range(n)]
+    networks += [jones.cnot_network(n, c, t) for c, t in itertools.permutations(range(n), 2)]
+    rng = np.random.default_rng(200 + n)
+    networks += [layered_network(rng, n) for _ in range(60)]
+    for network in networks:
+        assert jones.gate_matrix(n, network).tobytes() == sequential_gate_matrix(n, network).tobytes()
+
+
+@pytest.mark.parametrize(
+    "one,other",
+    [
+        (jones.Waveplate(math.pi, 0.0, modes=(0,)), jones.Waveplate(math.pi, -0.0, modes=(1,))),
+        (jones.Rotator(0.5, modes=(0,)), jones.Rotator(np.float32(0.5), modes=(1,))),
+    ],
+    ids=["signed-zero", "float32"],
+)
+def test_equal_angles_of_other_bits_share_a_layer_but_not_a_matrix(one, other):
+    # 0.0 == -0.0 and float32(0.5) == 0.5, yet their Jones matrices differ in bits
+    assert one.jones().tobytes() != other.jones().tobytes()
+    layers = jones._layers([one, other], 2)
+    assert len(layers) == 1 and len(layers[0][2]) == 2
+    network = [one, other, jones.Rotator(-0.0, modes=(0,)), jones.Rotator(0.0, modes=(1,))]
+    assert jones.gate_matrix(2, network).tobytes() == sequential_gate_matrix(2, network).tobytes()
+
+
+def test_layers_keep_each_modes_network_order():
+    # a chain on mode 0 is three layers; the plate on mode 1 joins the first
+    chain = [jones.Rotator(0.1, modes=(0,)), jones.PBSSwap(0, 1), jones.Rotator(0.2, modes=(0,))]
+    layers = jones._layers(chain[:1] + [jones.Rotator(0.3, modes=(1,))] + chain[1:], 2)
+    assert [(a, b, len(plates)) for a, b, plates in layers] == [([], [], 2), ([0], [1], 0), ([], [], 1)]
+    assert jones._layers([jones.Waveplate(1.0, 0.0, modes=())], 2) == []
+
+
+@pytest.mark.parametrize(
+    "element,error,message",
+    [
+        (jones.PBSSwap(0, 0), ValueError, "invalid PBS mode pair (0, 0)"),
+        (jones.PBSSwap(0, 4), ValueError, "invalid PBS mode pair (0, 4)"),
+        (jones.PBSSwap(-1, 1), ValueError, "invalid PBS mode pair (-1, 1)"),
+        (jones.Waveplate(1.0, 0.3, modes=(1, 1)), ValueError, "invalid mode indices (1, 1) for 4 modes"),
+        (jones.Rotator(0.4, modes=(4,)), ValueError, "invalid mode indices (4,) for 4 modes"),
+        (jones.Rotator(0.4, modes=(-1,)), ValueError, "invalid mode indices (-1,) for 4 modes"),
+        ("hwp", TypeError, "unknown optical element 'hwp'"),
+    ],
+)
+def test_invalid_element_error_messages(element, error, message):
+    # the bad element comes last, after elements the schedule has placed
+    network = jones.not_network(3, 0) + [element, jones.Rotator(0.5)]
+    with pytest.raises(error, match=re.escape(message)):
+        jones.gate_matrix(3, network)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

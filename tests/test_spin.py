@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +58,31 @@ def test_hard_rotation_unitary():
         seg = spin.HardRotation(0, rng.uniform(0, 2 * math.pi), rng.normal() * 4)
         u = seg.matrix()
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+
+
+def uncached_rotation(axis_angle, rotation_angle):
+    """The hard-rotation formula as HardRotation.matrix built it on every call."""
+    axis = math.cos(axis_angle) * spin.SIGMA_X + math.sin(axis_angle) * spin.SIGMA_Y
+    half = 0.5 * rotation_angle
+    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
+
+
+def test_cached_rotation_is_bitwise_the_formula():
+    rng = np.random.default_rng(19)
+    angles = [0.0, -0.0, math.pi, -math.pi / 2, math.pi / 2, 0, 2] + list(rng.normal(size=6) * 4)
+    for axis_angle, rotation_angle in itertools.product(angles, repeat=2):
+        want = uncached_rotation(axis_angle, rotation_angle).tobytes()
+        # twice: the second call is served from the cache
+        for _ in range(2):
+            assert spin._rotation_matrix(axis_angle, rotation_angle).tobytes() == want
+            assert spin.HardRotation(0, axis_angle, rotation_angle).matrix().tobytes() == want
+
+
+def test_cached_rotation_is_read_only_and_matrix_is_a_copy():
+    assert not spin._rotation_matrix(0.3, 1.1).flags.writeable
+    m = spin.HardRotation(1, 0.3, 1.1).matrix()
+    m[:] = 0.0
+    assert spin._rotation_matrix(0.3, 1.1).tobytes() == uncached_rotation(0.3, 1.1).tobytes()
 
 
 def test_free_evolution_zero_is_identity():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -20,15 +21,29 @@ from oqcsim.squeezed import (
 )
 
 
+def _annihilation(dim):
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+# GRID below holds 27 states but only 9 squeezes and 3 displacements, so
+# each dense expm factor is built once, keyed by its own parameters.
+@functools.lru_cache(maxsize=None)
+def _squeezed_vacuum(r, theta, dim):
+    a = _annihilation(dim)
+    ad = a.T
+    xi = r * np.exp(1j * theta)
+    return expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))[:, 0].copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _displacement(alpha, dim):
+    a = _annihilation(dim)
+    return expm(alpha * a.T - np.conj(alpha) * a)
+
+
 def fock_state_vector(s, dim):
     """Independent number-basis construction of D(alpha) S(xi) |0>."""
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    ad = a.T
-    xi = s.r * np.exp(1j * s.theta)
-    squeeze = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
-    alpha = complex(s.alpha)
-    displace = expm(alpha * ad - np.conj(alpha) * a)
-    return displace @ squeeze[:, 0]
+    return _displacement(complex(s.alpha), dim) @ _squeezed_vacuum(s.r, s.theta, dim)
 
 
 def test_coherent_state_limit():

@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from oqcsim.truthtable import (
     CNOT_TABLE,
     NOT_TABLE,
     apply_cnot,
     apply_not,
+    bits_index,
     cnot_permutation,
+    index_bits,
     not_permutation,
     permutation_matrix,
 )
@@ -33,3 +38,32 @@ def test_permutation_matrices_are_unitary_permutations():
 
 def test_cnot_row_11_maps_to_10():
     assert CNOT_TABLE[(1, 1)] == (1, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutations_match_bit_tuple_form(n):
+    # the per-index bit-tuple construction the arithmetic replaced
+    for t in range(n):
+        want = np.array([bits_index(apply_not(index_bits(i, n), t)) for i in range(2**n)])
+        got = not_permutation(n, t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for c, t in itertools.permutations(range(n), 2):
+        want = np.array([bits_index(apply_cnot(index_bits(i, n), c, t)) for i in range(2**n)])
+        got = cnot_permutation(n, c, t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: not_permutation(3, 3),
+        lambda: not_permutation(3, -1),
+        lambda: cnot_permutation(3, 0, 3),
+        lambda: cnot_permutation(3, -1, 0),
+        lambda: cnot_permutation(2, 1, 1),
+    ],
+    ids=["not-past-top", "not-negative", "cnot-target-past-top", "cnot-negative-control", "cnot-equal"],
+)
+def test_permutations_reject_bad_qubits(build):
+    with pytest.raises(ValueError):
+        build()
