@@ -12,7 +12,7 @@ params = rds.default_params()
 grid = rds.default_grid(params)
 print(f"grid: {grid.n_domains} domains, total length {grid.total_length:.6f}")
 
-traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, params, rds.default_step(grid))
+traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, params)
 n = traj.manley_rowe()
 print("Manley-Rowe drift:", float(max(abs(n - n[0])) / n[0]))
 print("final |a2|^2:", abs(traj.final.a2) ** 2)

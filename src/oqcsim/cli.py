@@ -383,7 +383,7 @@ def _parse_rds(params):
 def run_rds(params, seed):
     p, grid, fields, q = _parse_rds(params)
     if q["gate"] is None:
-        traj = rds.propagate(fields, grid, p, rds.default_step(grid, q["steps_per_domain"]))
+        traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
         return {"columns": columns, "rows": [list(r) for r in traj.csv_rows(q["sample_stride"])]}
     cal, gates = _rds_gates(params)
@@ -471,7 +471,7 @@ def _jones_gates():
 def _rds_gates(params):
     """Calibration of an rds config and its threshold gates, the margin their level separation."""
     p, grid, _, q = _parse_rds(params)
-    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], rds.default_step(grid, q["steps_per_domain"]))
+    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], q["steps_per_domain"])
 
     def gate(separation):
         return lambda inputs: (rds.calibrated_gate(inputs, cal), min(separation, MARGIN_CAP))
@@ -506,7 +506,7 @@ def verify_truth_tables(backends=("spin", "jones", "rds")):
 
 
 def _rds_sweep(params, name, values):
-    """One kernel call per step schedule shared by the rows (see rds.propagate_many)."""
+    """One kernel call for every row (see rds.propagate_many)."""
     if name not in ("length", "dk_a", "kappa_a", "beam_amplitude"):
         raise ConfigError(f'unknown sweep parameter "{name}" for backend rds')
     cases = []
@@ -515,8 +515,8 @@ def _rds_sweep(params, name, values):
             p, grid, fields, q = _parse_rds(dict(params, a1=[value, 0.0]))
         else:
             p, grid, fields, q = _parse_rds(dict(params, **{name: value}))
-        cases.append((fields, grid, p, rds.default_step(grid, q["steps_per_domain"])))
-    final, drift = rds.propagate_many(cases)
+        cases.append((fields, grid, p))
+    final, drift = rds.propagate_many(cases, q["steps_per_domain"])
     powers = np.abs(final) ** 2
     rows = []
     for i, value in enumerate(values):

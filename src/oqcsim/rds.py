@@ -9,23 +9,24 @@ obey the cascaded SHG + SFG coupled-mode system
 
 with s(z) = +/-1 the local domain sign.  Photon-flux normalization makes
 N = |a1|^2 + 2|a2|^2 + 3|a3|^2 exactly conserved.  Integration is
-classical fixed-step RK4 with steps aligned to domain boundaries, so the
-discontinuous s(z) never falls inside a step.
+classical fixed-step RK4 with steps_per_domain equal steps in every
+domain, so the discontinuous s(z) never falls inside a step.
 
 One kernel, `rk4`, integrates a batch of B independent beams, a (3, B)
-complex array, through one step schedule: the domain signs and per-domain
-step counts are shared, while domain lengths, couplings and mismatches
-may differ per column.  The steps of a domain run in blocks of at most
-64: per block, one np.exp gives e^{i dkA z} and e^{i dkB z} at every
-midpoint and step end, the other three phase factors being their
-conjugates (2 exps per point), and the photon flux N of the whole block
-is checked at once.  It keeps a running max of |N - N0| per column over
-every step (the Manley-Rowe drift), and writes a (K, 3, B) trajectory
-only when asked.  A non-finite exit field or flux raises
-DivergenceError.  `propagate` is the batch of one, with its trajectory.
-`propagate_many` groups any list of cases by step schedule and makes one
-kernel call per group, so a sweep over amplitude, coupling or mismatch
-is a single integration.
+complex array, through D domains of steps_per_domain steps each: the
+domain signs and lengths, couplings and mismatches may differ per column,
+and a zero-length domain leaves a column's fields as they are.  The steps
+of a domain run in blocks of at most 64: per block, one np.exp gives
+e^{i dkA z} and e^{i dkB z} at every midpoint and step end, the other
+three phase factors being their conjugates (2 exps per point), and the
+photon flux N of the whole block is checked at once.  It keeps a
+running max of |N - N0| per column over every step (the Manley-Rowe
+drift), and writes a (K, 3, B) trajectory only when asked.  A non-finite
+exit field or flux raises DivergenceError.  `propagate` is the batch of
+one, with its trajectory.
+`propagate_many` pads shorter grids with zero-length domains and makes
+one kernel call for any list of cases, so every sweep is a single
+integration.
 
 Logic gates use phase coding: a bit b enters as an amplitude factor
 (-1)**b, interfered with an equal zero-phase bias beam, and the gate
@@ -78,8 +79,8 @@ class DomainGrid:
             raise ValueError("grid must contain at least one domain")
         if lengths.shape != signs.shape:
             raise ValueError("lengths and signs must have equal shape")
-        if not np.all(lengths > 0.0):
-            raise ValueError("all domain lengths must be positive")
+        if not np.all((lengths > 0.0) & np.isfinite(lengths)):
+            raise ValueError("all domain lengths must be positive and finite")
         if not np.all(np.isin(signs, (1.0, -1.0))):
             raise ValueError("domain signs must be +1 or -1")
         object.__setattr__(self, "lengths", lengths)
@@ -199,13 +200,6 @@ def make_periodic_grid(total_length: float, domain_length: float, first_sign: in
     return DomainGrid(np.array(lengths), np.array(signs, dtype=float))
 
 
-def step_counts(grid: DomainGrid, step: float) -> np.ndarray:
-    """RK4 steps per domain: the requested step shrunk to divide each domain."""
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    return np.maximum(1, np.ceil(grid.lengths / step - 1e-12)).astype(int)
-
-
 # The right-hand side is five coupling terms, each a product of two field
 # factors: conj(a1) a2, conj(a2) a3 | a1 a1, conj(a1) a3 | a1 a2, summed
 # in pairs into da1, da2 | da3.  Rows 0-2 of the factor table hold the
@@ -221,14 +215,16 @@ _BLOCK = 64
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run raises at the end
-def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajectory=False):
-    """Fixed-step RK4 of B independent field triples through one step schedule.
+def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, trajectory=False):
+    """Fixed-step RK4 of B independent field triples, steps_per_domain steps per domain.
 
-    fields is a (3, B) complex array.  The domain signs and per-domain step
-    counts (both (D,)) are shared by every column; the domain lengths
-    ((D, B), or (D, 1) for one grid) and the couplings and mismatches
-    (scalars or (B,)) may differ per column.  Steps never cross a domain
-    boundary, so the discontinuous sign profile keeps 4th-order accuracy.
+    fields is a (3, B) complex array.  The domain signs and lengths are
+    (D, B), or (D, 1) for one grid shared by every column, and the
+    couplings and mismatches are scalars or (B,).  Each domain takes
+    steps_per_domain steps of its length / steps_per_domain, so steps never
+    cross a domain boundary and the discontinuous sign profile keeps
+    4th-order accuracy.  The steps of a zero-length domain are of size 0:
+    the column's fields and z stay put, which pads shorter grids.
 
     The steps of a domain run in blocks of at most _BLOCK.  Per block, one
     np.exp gives e^{i dkA z} and e^{i dkB z} at every step's midpoint and
@@ -242,14 +238,19 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
 
     Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
     drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
-    when a trajectory is asked for, the (K, B) sample positions and the
-    (K, 3, B) sampled fields (else None and None).  Raises DivergenceError
-    unless the exit fields and the drift are finite, which makes every
-    sampled flux finite too.
+    when a trajectory is asked for, the (D * steps_per_domain + 1, B)
+    sample positions and the matching (K, 3, B) sampled fields (else None
+    and None).  Raises ValueError unless steps_per_domain is an integer
+    >= 1, and DivergenceError unless the exit fields and the drift are
+    finite, which makes every sampled flux finite too.
     """
+    integer = isinstance(steps_per_domain, (int, np.integer)) and not isinstance(steps_per_domain, bool)
+    if not (integer and steps_per_domain >= 1):
+        raise ValueError(f"steps_per_domain must be an integer >= 1, got {steps_per_domain!r}")
+    n = int(steps_per_domain)
     a = np.array(fields, dtype=complex)
     width = a.shape[1]
-    h_all = np.asarray(lengths, dtype=float) / np.asarray(n_steps)[:, None]
+    h_all = np.asarray(lengths, dtype=float) / n
     kappa_a, kappa_b, dk_a, dk_b = (
         np.broadcast_to(np.asarray(x, dtype=float), width) for x in (kappa_a, kappa_b, dk_a, dk_b)
     )
@@ -288,10 +289,10 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
     zs = samples = None
     k = 0
     if trajectory:
-        zs = np.zeros((1 + int(np.sum(n_steps)), width))
+        zs = np.zeros((1 + h_all.shape[0] * n, width))
         samples = np.empty((zs.shape[0], 3, width), dtype=complex)
         samples[0] = a
-    for s, n, h in zip(signs, n_steps, h_all):
+    for s, h in zip(signs, h_all):
         c = s * coupling
         half, sixth = 0.5 * h, h / 6.0
         for start in range(0, n, _BLOCK):
@@ -337,46 +338,35 @@ def rk4(fields, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b, trajector
     return a, drift, zs, samples
 
 
-def propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, step: float) -> Trajectory:
-    """Fixed-step RK4 through the grid; steps never cross a domain boundary.
-
-    Within each domain the requested step is shrunk to an integer divisor
-    of the domain length, preserving 4th-order accuracy across the
-    discontinuous sign profile.  This is the kernel's batch of one.
-    """
+def propagate(
+    fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN
+) -> Trajectory:
+    """Trajectory of steps_per_domain RK4 steps per domain; the kernel's batch of one."""
     _, _, z, samples = rk4(
-        [[fields.a1], [fields.a2], [fields.a3]], grid.signs, step_counts(grid, step), grid.lengths[:, None],
+        [[fields.a1], [fields.a2], [fields.a3]], grid.signs[:, None], grid.lengths[:, None], steps_per_domain,
         params.kappa_a, params.kappa_b, params.dk_a, params.dk_b, trajectory=True,
     )
     return Trajectory(z[:, 0], samples[:, :, 0])
 
 
-def propagate_many(cases):
-    """Exit fields (3, n) and Manley-Rowe drift (n,) of n (fields, grid, params, step) cases.
+def propagate_many(cases, steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN):
+    """Exit fields (3, n) and Manley-Rowe drift (n,) of n (fields, grid, params) cases.
 
-    Cases that share a step schedule -- domain signs and per-domain step
-    counts -- run as the columns of one kernel call; their domain lengths,
-    couplings and mismatches may differ.
+    The cases run as the columns of one kernel call, grids of fewer
+    domains padded with zero-length domains at the exit.
     """
-    groups = {}
-    for i, (_, grid, _, step) in enumerate(cases):
-        n_steps = step_counts(grid, step)
-        key = (grid.signs.tobytes(), n_steps.tobytes())
-        groups.setdefault(key, (grid.signs, n_steps, []))[2].append(i)
-    final = np.empty((3, len(cases)), dtype=complex)
-    drift = np.empty(len(cases))
-    for signs, n_steps, members in groups.values():
-        fields, grids, params, _ = zip(*(cases[i] for i in members))
-        a = np.array([(f.a1, f.a2, f.a3) for f in fields], dtype=complex).T
-        lengths = np.stack([g.lengths for g in grids], axis=1)
-        kappa_a, kappa_b, dk_a, dk_b = np.array([(p.kappa_a, p.kappa_b, p.dk_a, p.dk_b) for p in params]).T
-        out = rk4(a, signs, n_steps, lengths, kappa_a, kappa_b, dk_a, dk_b)
-        final[:, members], drift[members] = out[:2]
+    depth = max((grid.n_domains for _, grid, _ in cases), default=1)
+    a = np.empty((3, len(cases)), dtype=complex)
+    signs = np.ones((depth, len(cases)))
+    lengths = np.zeros((depth, len(cases)))
+    constants = np.empty((4, len(cases)))
+    for j, (f, grid, p) in enumerate(cases):
+        a[:, j] = f.a1, f.a2, f.a3
+        signs[: grid.n_domains, j] = grid.signs
+        lengths[: grid.n_domains, j] = grid.lengths
+        constants[:, j] = p.kappa_a, p.kappa_b, p.dk_a, p.dk_b
+    final, drift, _, _ = rk4(a, signs, lengths, steps_per_domain, *constants)
     return final, drift
-
-
-def default_step(grid: DomainGrid, steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN) -> float:
-    return float(grid.lengths.min()) / steps_per_domain
 
 
 def default_params() -> CoupledModeParams:
@@ -400,22 +390,21 @@ def qpm_enhancement_check(
 ) -> float:
     """SH growth-rate ratio of a (quasi-)phase-matched grid vs perfect matching.
 
-    Undepleted regime enforced by scaling the pump so kappa_a*|a1|*L = 1e-3;
-    the poled ratio converges to 2/pi as n_domains grows, the unpoled
-    (uniform mismatched) ratio decays towards zero.
+    The grid is n_domains coherence lengths, of alternating sign if poled
+    and all +1 if not.  Undepleted regime enforced by scaling the pump so
+    kappa_a*|a1|*L = 1e-3; the poled ratio converges to 2/pi as n_domains
+    grows, the unpoled (uniform mismatched) ratio decays towards zero.
     """
     if params.dk_a == 0.0:
         raise ValueError("QPM check needs a nonzero dk_a")
     if params.kappa_b != 0.0:
         raise ValueError("QPM check is defined for the pure SHG channel (kappa_b = 0)")
     lc = qpm_domain_length(params.dk_a)
+    signs = (-1.0) ** np.arange(n_domains) if poled else np.ones(n_domains)
+    grid = DomainGrid(np.full(n_domains, lc), signs)
     total = n_domains * lc
-    if poled:
-        grid = make_periodic_grid(total, lc)
-    else:
-        grid = DomainGrid(np.array([total]), np.array([1.0]))
     pump = 1e-3 / (params.kappa_a * total)
-    final = propagate_many([(FieldTriple(pump, 0.0, 0.0), grid, params, lc / steps_per_domain)])[0]
+    final = propagate_many([(FieldTriple(pump, 0.0, 0.0), grid, params)], steps_per_domain)[0]
     matched_amp = 0.5 * params.kappa_a * pump**2 * total
     return float(abs(final[1, 0])) / matched_amp
 
@@ -440,7 +429,7 @@ def calibrate_thresholds(
     grid: DomainGrid,
     params: CoupledModeParams,
     beam_amplitude: float,
-    step: float | None = None,
+    steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN,
 ) -> LogicThresholds:
     """Simulate all logic inputs and place thresholds between the levels.
 
@@ -456,11 +445,11 @@ def calibrate_thresholds(
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
-    step = step if step is not None else default_step(grid)
 
     # the pumps of inputs with 0, 1 and 2 one-bits (a NOT bit's bias beam is a 0)
     pumps = (2.0 * beam_amplitude, 0.0, -2.0 * beam_amplitude)
-    powers = np.abs(propagate_many([(FieldTriple(a, 0.0, 0.0), grid, params, step) for a in pumps])[0]) ** 2
+    cases = [(FieldTriple(a, 0.0, 0.0), grid, params) for a in pumps]
+    powers = np.abs(propagate_many(cases, steps_per_domain)[0]) ** 2
     sh, th = (tuple(float(x) for x in p) for p in powers[1:])
 
     sh_high, sh_low = sh[0], sh[1]

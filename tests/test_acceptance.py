@@ -85,7 +85,7 @@ def test_criterion_2_norm_and_power_preservation(capsys):
 def test_criterion_3_manley_rowe(capsys):
     p = rds.default_params()
     grid = rds.default_grid(p)
-    traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, p, rds.default_step(grid))
+    traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, p)
     n = traj.manley_rowe()
     drift = np.max(np.abs(n - n[0])) / n[0]
     assert drift < 1e-8
@@ -94,12 +94,12 @@ def test_criterion_3_manley_rowe(capsys):
     ps = rds.CoupledModeParams(1.0, 1.0, math.pi / 0.5, math.pi / 0.5)
     gs = rds.make_periodic_grid(2.0, 0.5)
 
-    def mr_drift(step):
-        t = rds.propagate(rds.FieldTriple(1.2, 0.0, 0.0), gs, ps, step)
+    def mr_drift(steps_per_domain):
+        t = rds.propagate(rds.FieldTriple(1.2, 0.0, 0.0), gs, ps, steps_per_domain)
         m = t.manley_rowe()
         return np.max(np.abs(m - m[0])) / m[0]
 
-    exponent = math.log2(mr_drift(0.5 / 8) / mr_drift(0.5 / 16))
+    exponent = math.log2(mr_drift(8) / mr_drift(16))
     assert 3.5 <= exponent <= 4.5
     with capsys.disabled():
         report(3, f"Manley-Rowe drift {drift:.2e} < 1e-8; "
@@ -118,9 +118,9 @@ def test_criterion_4_undepleted_pump_oracle(capsys):
         assert kappa_a * abs(a1) * length <= 0.05
         p = rds.CoupledModeParams(kappa_a, 0.0, dk, 0.0)
         grid = rds.DomainGrid(np.array([length]), np.array([1.0]))
-        # resolve both the envelope and the mismatch oscillation
-        step = min(length / 200, (2 * math.pi / dk) / 40 if dk else length)
-        final = rds.propagate(rds.FieldTriple(a1, 0.0, 0.0), grid, p, step).final
+        # resolve both the envelope (200 steps) and the mismatch oscillation (40 per period)
+        steps = max(200, math.ceil(40 * dk * length / (2 * math.pi)))
+        final = rds.propagate(rds.FieldTriple(a1, 0.0, 0.0), grid, p, steps).final
         x = dk * length / 2
         expected = (kappa_a / 2) ** 2 * abs(a1) ** 4 * length**2 * np.sinc(x / np.pi) ** 2
         assert abs(abs(final.a2) ** 2 - expected) <= 0.01 * expected + 1e-30

@@ -360,6 +360,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         ),
         ("run", {"backend": "rds", "parameters": {
             "grid_file": "grid.txt", "length": 0.5, "n_domains": 7, "steps_per_domain": 8}}, None),
+        ("run", {"backend": "rds", "parameters": {"grid_file": "inf-grid.txt"}}, None),
         ("sweep", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO}, None),
         ("run", {"backend": "rds", "parameters": {"length": 0.0035, "n_domains": 7}}, None),
         ("run", {"backend": "stats", "parameters": {"alpha": [1e160, 0], "r": 0.3}}, None),
@@ -401,6 +402,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "out-dir-missing",
         "rds-sweep-length-with-grid-file",
         "rds-grid-file-with-length",
+        "grid-file-inf-length",
         "rds-sweep-dk-a-through-zero-on-qpm-grid",
         "rds-n-domains-with-length",
         "stats-alpha-moments-overflow",
@@ -419,6 +421,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
     # a valid 3-domain grid, so a config that names it fails only on its own keys
     (tmp_path / "grid.txt").write_text("5e-4 1\n5e-4 -1\n5e-4 1\n")
+    (tmp_path / "inf-grid.txt").write_text("5e-4 1\ninf -1\n")
     monkeypatch.chdir(tmp_path)
     argv = [command, "--config", write_config(tmp_path, "bad.json", cfg)]
     if out is not None:
@@ -525,8 +528,10 @@ def test_rds_truth_table_is_one_kernel_call(capsys, kernel_widths):
         ("beam_amplitude", {}, 0.02, 0.3),
         ("kappa_a", {"a1": [0.2, 0.0]}, 0.3, 2.5),
         ("dk_a", {"a1": [0.2, 0.0]}, 2 * np.pi * 500, 2 * np.pi * 3000),
+        # periodic grids of 10 to 20 domains of 0.5 mm, padded to the longest
+        ("length", {"domain_length": 5e-4}, 5e-3, 1e-2),
     ],
-    ids=["beam_amplitude", "kappa_a", "dk_a"],
+    ids=["beam_amplitude", "kappa_a", "dk_a", "length"],
 )
 def test_rds_sweep_is_one_kernel_call(tmp_path, capsys, kernel_widths, parameter, params, start, stop):
     sweep = {"parameter": parameter, "start": start, "stop": stop, "count": 81}
@@ -536,15 +541,13 @@ def test_rds_sweep_is_one_kernel_call(tmp_path, capsys, kernel_widths, parameter
     assert len(capsys.readouterr().out.splitlines()) == 82
 
 
-def test_rds_length_sweep_on_periodic_grid_is_one_call_per_row(tmp_path, capsys, kernel_widths):
-    # 10, 15 and 20 domains of 0.5 mm: each row has its own step schedule
-    cfg = write_config(tmp_path, "length.json", {
-        "backend": "rds",
-        "parameters": {"domain_length": 5e-4},
-        "sweep": {"parameter": "length", "start": 5e-3, "stop": 1e-2, "count": 3},
+def test_rds_sliver_domain_takes_steps_per_domain_steps(tmp_path, capsys):
+    # 100 coherence lengths and a 1e-11 m sliver: 101 domains of 16 steps each
+    cfg = write_config(tmp_path, "sliver.json", {
+        "backend": "rds", "parameters": {"domain_length": "coherence", "length": 0.05000000001},
     })
-    assert cli.main(["sweep", "--config", cfg]) == 0
-    assert kernel_widths == [1, 1, 1]
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1617
 
 
 def test_rds_sweep_validates_every_row_before_integrating(tmp_path, capsys, kernel_widths):

@@ -21,21 +21,20 @@ def _derivs(z, a1, a2, a3, s, p):
     return d1, d2, d3
 
 
-def reference_propagate(fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, step: float) -> Trajectory:
-    """Fixed-step RK4 through the grid; steps never cross a domain boundary.
+def reference_propagate(
+    fields: FieldTriple, grid: DomainGrid, params: CoupledModeParams, steps_per_domain: int
+) -> Trajectory:
+    """Fixed-step RK4 through the grid, steps_per_domain steps in every domain.
 
-    Within each domain the requested step is shrunk to an integer divisor
-    of the domain length, preserving 4th-order accuracy across the
-    discontinuous sign profile.
+    Steps never cross a domain boundary, preserving 4th-order accuracy
+    across the discontinuous sign profile.
     """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
     a1, a2, a3 = complex(fields.a1), complex(fields.a2), complex(fields.a3)
     z = 0.0
     zs = [0.0]
     traj = [(a1, a2, a3)]
     for length, s in zip(grid.lengths, grid.signs):
-        n_steps = max(1, math.ceil(length / step - 1e-12))
+        n_steps = steps_per_domain
         h = length / n_steps
         for _ in range(n_steps):
             k1 = _derivs(z, a1, a2, a3, s, params)
@@ -79,14 +78,14 @@ def single_domain(length):
 def test_zero_fields_stay_exactly_zero():
     p = rds.default_params()
     grid = rds.default_grid(p, n_domains=5)
-    traj = rds.propagate(rds.FieldTriple(0.0, 0.0, 0.0), grid, p, rds.default_step(grid))
+    traj = rds.propagate(rds.FieldTriple(0.0, 0.0, 0.0), grid, p)
     assert np.all(traj.fields == 0.0)
 
 
 def test_undepleted_oracle_phase_matched():
     kappa_a, length = 1.0, 1e-2  # kappa_a * |a1| * L = 1e-2
     p = rds.CoupledModeParams(kappa_a, 0.0, 0.0, 0.0)
-    traj = rds.propagate(rds.FieldTriple(1.0, 0.0, 0.0), single_domain(length), p, length / 200)
+    traj = rds.propagate(rds.FieldTriple(1.0, 0.0, 0.0), single_domain(length), p, 200)
     expected = undepleted_sh_power(kappa_a, 1.0, length, 0.0)
     assert abs(abs(traj.final.a2) ** 2 - expected) / expected < 0.01
 
@@ -96,7 +95,7 @@ def test_undepleted_oracle_mismatched_oscillation():
     length = 3 * 2 * math.pi / dk  # three full oscillation periods
     p = rds.CoupledModeParams(kappa_a, 0.0, dk, 0.0)
     traj = rds.propagate(
-        rds.FieldTriple(0.05, 0.0, 0.0), single_domain(length), p, length / 3000
+        rds.FieldTriple(0.05, 0.0, 0.0), single_domain(length), p, 3000
     )
     p2 = np.abs(traj.fields[:, 1]) ** 2
     peak_expected = undepleted_sh_power(kappa_a, 0.05, math.pi / dk, dk)
@@ -140,6 +139,9 @@ def test_grid_validation():
         rds.DomainGrid(np.array([1.0, -1.0]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         rds.DomainGrid(np.array([1.0]), np.array([2.0]))
+    for length in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            rds.DomainGrid(np.array([1.0, length]), np.array([1.0, -1.0]))
 
 
 def test_grid_file_roundtrip(tmp_path):
@@ -153,17 +155,23 @@ def test_grid_file_roundtrip(tmp_path):
 
 def test_propagate_rejects_bad_step():
     p = rds.default_params()
+    shg = rds.CoupledModeParams(1.0, 0.0, p.dk_a, 0.0)
     grid = rds.default_grid(p, n_domains=2)
-    with pytest.raises(ValueError):
-        rds.propagate(rds.FieldTriple(0.1, 0, 0), grid, p, 0.0)
-    with pytest.raises(ValueError):
-        rds.propagate(rds.FieldTriple(0.1, 0, 0), grid, p, -1.0)
+    for steps_per_domain in (0, -1, 2.5):
+        with pytest.raises(ValueError):
+            rds.propagate(rds.FieldTriple(0.1, 0, 0), grid, p, steps_per_domain)
+        with pytest.raises(ValueError):
+            rds.propagate_many([(rds.FieldTriple(0.1, 0, 0), grid, p)], steps_per_domain)
+        with pytest.raises(ValueError):
+            rds.calibrate_thresholds(grid, p, 0.1, steps_per_domain)
+        with pytest.raises(ValueError):
+            rds.qpm_enhancement_check(shg, 2, steps_per_domain)
 
 
 def test_manley_rowe_drift_default_config():
     p = rds.default_params()
     grid = rds.default_grid(p)
-    traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, p, rds.default_step(grid))
+    traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, p)
     n = traj.manley_rowe()
     assert np.max(np.abs(n - n[0])) / n[0] < 1e-8
 
@@ -173,26 +181,48 @@ def test_step_halving_fourth_order_convergence():
     p = rds.CoupledModeParams(1.0, 1.0, math.pi / 0.5, math.pi / 0.5)
     grid = rds.make_periodic_grid(2.0, 0.5)
 
-    def drift(step):
-        traj = rds.propagate(rds.FieldTriple(1.2, 0.0, 0.0), grid, p, step)
+    def drift(steps_per_domain):
+        traj = rds.propagate(rds.FieldTriple(1.2, 0.0, 0.0), grid, p, steps_per_domain)
         n = traj.manley_rowe()
         return np.max(np.abs(n - n[0])) / n[0]
 
-    d_coarse = drift(0.5 / 8)
-    d_fine = drift(0.5 / 16)
+    d_coarse = drift(8)
+    d_fine = drift(16)
     exponent = math.log2(d_coarse / d_fine)
     assert 3.5 <= exponent <= 4.5
+
+
+def test_rk4_is_fourth_order_to_its_pinned_error():
+    # powers P2, P3 of a 20-domain default grid against 256 steps per domain
+    p = rds.default_params()
+    case = [(rds.FieldTriple(0.2, 0.0, 0.0), rds.default_grid(p, n_domains=20), p)]
+
+    def powers(steps_per_domain):
+        return np.abs(rds.propagate_many(case, steps_per_domain)[0][1:, 0]) ** 2
+
+    exact = powers(256)
+    err = {n: np.abs(powers(n) - exact) / exact for n in (8, 16, 32)}
+    for coarse, fine in ((8, 16), (16, 32)):
+        assert np.all((14 <= err[coarse] / err[fine]) & (err[coarse] / err[fine] <= 18))
+    assert err[16][0] <= 2e-6 and err[16][1] <= 4e-6
+
+
+def test_partial_domain_takes_steps_per_domain_steps():
+    # a half-length last domain gets 16 steps like the others, not 32 of every domain
+    p = rds.default_params()
+    lc = rds.qpm_domain_length(p.dk_a)
+    grid = rds.make_periodic_grid(10.5 * lc, lc)
+    traj = rds.propagate(rds.FieldTriple(0.2, 0.0, 0.0), grid, p)
+    assert grid.n_domains == 11 and traj.z.shape == (11 * 16 + 1,)
+    assert traj.z[-1] == pytest.approx(grid.total_length, rel=1e-12)
 
 
 def test_phase_covariance():
     p = rds.default_params()
     grid = rds.default_grid(p, n_domains=20)
-    step = rds.default_step(grid)
     phi = 0.7
-    base = rds.propagate(rds.FieldTriple(0.3, 0.0, 0.0), grid, p, step).final
-    shifted = rds.propagate(
-        rds.FieldTriple(0.3 * np.exp(1j * phi), 0.0, 0.0), grid, p, step
-    ).final
+    base = rds.propagate(rds.FieldTriple(0.3, 0.0, 0.0), grid, p).final
+    shifted = rds.propagate(rds.FieldTriple(0.3 * np.exp(1j * phi), 0.0, 0.0), grid, p).final
     assert abs(shifted.a2 - base.a2 * np.exp(2j * phi)) < 1e-10
     assert abs(shifted.a3 - base.a3 * np.exp(3j * phi)) < 1e-10
 
@@ -202,9 +232,8 @@ def test_grid_reversal_symmetry(n_domains):
     p = rds.default_params()
     lc = rds.qpm_domain_length(p.dk_a)
     grid = rds.make_periodic_grid(n_domains * lc, lc)
-    step = rds.default_step(grid)
-    fwd = rds.propagate(rds.FieldTriple(0.3, 0.0, 0.0), grid, p, step).final
-    rev = rds.propagate(rds.FieldTriple(0.3, 0.0, 0.0), grid.reversed(), p, step).final
+    fwd = rds.propagate(rds.FieldTriple(0.3, 0.0, 0.0), grid, p).final
+    rev = rds.propagate(rds.FieldTriple(0.3, 0.0, 0.0), grid.reversed(), p).final
     for a, b in zip(fwd.powers(), rev.powers()):
         assert abs(a - b) < 1e-10
 
@@ -230,7 +259,7 @@ def test_unpoled_mismatched_sh_bounded_and_non_growing():
     total = 100 * lc
     pump = 1e-3 / (p.kappa_a * total)
     grid = rds.DomainGrid(np.array([total]), np.array([1.0]))
-    traj = rds.propagate(rds.FieldTriple(pump, 0.0, 0.0), grid, p, lc / 32)
+    traj = rds.propagate(rds.FieldTriple(pump, 0.0, 0.0), grid, p, 3200)
     bound = undepleted_sh_power(p.kappa_a, pump, lc, p.dk_a)
     assert np.max(np.abs(traj.fields[:, 1]) ** 2) <= bound * 1.01
 
@@ -311,18 +340,17 @@ def test_cnot_needs_sfg_coupling(calibrated):
 def test_diverging_integration_raises(recwarn, kappa_a, a1):
     p = rds.CoupledModeParams(kappa_a, 1.0, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
     grid = rds.default_grid(p, n_domains=5)
-    step = rds.default_step(grid)
     with pytest.raises(rds.DivergenceError):
-        rds.propagate(rds.FieldTriple(a1, 0.0, 0.0), grid, p, step)
-    healthy = (rds.FieldTriple(0.1, 0.0, 0.0), grid, rds.default_params(), step)
+        rds.propagate(rds.FieldTriple(a1, 0.0, 0.0), grid, p)
+    healthy = (rds.FieldTriple(0.1, 0.0, 0.0), grid, rds.default_params())
     with pytest.raises(rds.DivergenceError):
-        rds.propagate_many([healthy, (rds.FieldTriple(a1, 0.0, 0.0), grid, p, step)])
+        rds.propagate_many([healthy, (rds.FieldTriple(a1, 0.0, 0.0), grid, p)])
     assert len(recwarn) == 0
 
 
 def test_trajectory_csv_rows(calibrated):
     p, grid, _ = calibrated
-    traj = rds.propagate(rds.FieldTriple(0.1, 0, 0), grid, p, rds.default_step(grid))
+    traj = rds.propagate(rds.FieldTriple(0.1, 0, 0), grid, p)
     rows = traj.csv_rows(stride=100)
     assert rows[0][0] == 0.0
     assert rows[-1][0] == pytest.approx(grid.total_length, rel=1e-12)
@@ -347,35 +375,35 @@ def _values(lo, hi, width):
 
 
 def sweep_cases(kind, width):
-    """(fields, grid, params, step) cases of one sweep, as the CLI builds them."""
+    """(fields, grid, params) cases of one sweep, as the CLI builds them."""
     p0 = rds.default_params()
     grid0 = rds.default_grid(p0, n_domains=10)
     two_pi = 2 * math.pi
     cases = []
     if kind == "beam_amplitude":
         for v in _values(0.02, 0.3, width):
-            cases.append((rds.FieldTriple(v, 0.0, 0.0), grid0, p0, rds.default_step(grid0)))
+            cases.append((rds.FieldTriple(v, 0.0, 0.0), grid0, p0))
     elif kind == "kappa_a":
         for v in _values(0.3, 2.5, width):
             p = rds.CoupledModeParams(v, p0.kappa_b, p0.dk_a, p0.dk_b)
-            cases.append((rds.FieldTriple(0.2, 0.0, 0.0), grid0, p, rds.default_step(grid0)))
+            cases.append((rds.FieldTriple(0.2, 0.0, 0.0), grid0, p))
     elif kind == "dk_a_qpm":
         # every column has its own QPM grid of coherence length pi/|dk_a|
         for v in _values(-two_pi * 3000, -two_pi * 500, width):
             p = rds.CoupledModeParams(1.0, 1.0, v, p0.dk_b)
             grid = rds.default_grid(p, n_domains=10)
-            cases.append((rds.FieldTriple(0.2, 0.0, 0.0), grid, p, rds.default_step(grid)))
+            cases.append((rds.FieldTriple(0.2, 0.0, 0.0), grid, p))
     else:  # the README sweep: one 5 cm domain, pure SHG, dk_a through 0
         grid = single_domain(0.05)
         for v in _values(-400.0, 400.0, width):
             p = rds.CoupledModeParams(1.0, 0.0, v, p0.dk_b)
-            cases.append((rds.FieldTriple(0.1, 0.0, 0.0), grid, p, rds.default_step(grid)))
+            cases.append((rds.FieldTriple(0.1, 0.0, 0.0), grid, p))
     return cases
 
 
-def assert_matches_reference(cases, final, drift):
-    for j, (fields, grid, params, step) in enumerate(cases):
-        ref = reference_propagate(fields, grid, params, step)
+def assert_matches_reference(cases, final, drift, steps_per_domain=rds.DEFAULT_STEPS_PER_DOMAIN):
+    for j, (fields, grid, params) in enumerate(cases):
+        ref = reference_propagate(fields, grid, params, steps_per_domain)
         scale = max(abs(fields.a1), abs(fields.a2), abs(fields.a3))
         assert np.max(np.abs(final[:, j] - ref.fields[-1])) <= 1e-12 * scale, j
         assert drift[j] == pytest.approx(reference_drift(ref), abs=DRIFT_TOL), j
@@ -391,15 +419,15 @@ def test_sweep_batch_matches_scalar_reference(kind, width):
 
 
 def test_mixed_schedules_keep_case_order():
-    # three step schedules, interleaved: QPM grids of 10 domains, one domain,
-    # and periodic grids of 10 and 12 domains with their own schedules
+    # grids of 10, 1, 10 and 12 domains, interleaved: the shorter ones are
+    # padded with zero-length domains, which leave their fields and drift as they are
     qpm = sweep_cases("dk_a_qpm", 3)
     single = sweep_cases("dk_a_single_domain", 3)
     p = rds.default_params()
     periodic = []
     for length in (5e-3, 6e-3):
         grid = rds.make_periodic_grid(length, 5e-4)
-        periodic.append((rds.FieldTriple(0.2, 0.0, 0.0), grid, p, rds.default_step(grid)))
+        periodic.append((rds.FieldTriple(0.2, 0.0, 0.0), grid, p))
     cases = [qpm[0], single[0], periodic[0], qpm[1], single[1], periodic[1], qpm[2], single[2]]
     final, drift = rds.propagate_many(cases)
     assert_matches_reference(cases, final, drift)
@@ -409,9 +437,8 @@ def test_propagate_matches_scalar_reference_trajectory():
     p = rds.default_params()
     grid = rds.default_grid(p)
     fields = rds.FieldTriple(0.2, 0.0, 0.0)
-    step = rds.default_step(grid)
-    traj = rds.propagate(fields, grid, p, step)
-    ref = reference_propagate(fields, grid, p, step)
+    traj = rds.propagate(fields, grid, p)
+    ref = reference_propagate(fields, grid, p, rds.DEFAULT_STEPS_PER_DOMAIN)
     assert np.array_equal(traj.z, ref.z)
     assert traj.fields.shape == ref.fields.shape
     assert np.max(np.abs(traj.fields - ref.fields)) <= 1e-12 * 0.2
@@ -420,15 +447,15 @@ def test_propagate_matches_scalar_reference_trajectory():
 def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
     p = rds.default_params()
     grid = rds.default_grid(p)
-    step = rds.default_step(grid)
+    steps = rds.DEFAULT_STEPS_PER_DOMAIN
     a = rds.DEFAULT_BEAM_AMPLITUDE
-    cases = [(rds.FieldTriple(pump, 0.0, 0.0), grid, p, step) for pump in (2 * a, 0.0, -2 * a)]
+    cases = [(rds.FieldTriple(pump, 0.0, 0.0), grid, p) for pump in (2 * a, 0.0, -2 * a)]
     final, drift = rds.propagate_many(cases)
     assert_matches_reference(cases, final, drift)
     assert np.all(final[:, 1] == 0.0) and drift[1] == 0.0
-    cal = rds.calibrate_thresholds(grid, p, a, step)
+    cal = rds.calibrate_thresholds(grid, p, a, steps)
     for k, (fields, *_) in enumerate(cases):
-        ref = reference_propagate(fields, grid, p, step).final
+        ref = reference_propagate(fields, grid, p, steps).final
         assert cal.sh_levels[k] == pytest.approx(abs(ref.a2) ** 2, rel=1e-12, abs=0.0)
         assert cal.th_levels[k] == pytest.approx(abs(ref.a3) ** 2, rel=1e-12, abs=0.0)
     assert cal.sh_levels[1] == 0.0 and cal.th_levels[1] == 0.0
@@ -440,30 +467,30 @@ def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
 LONG_DOMAIN = 2e-3
 
 
-def long_domain_cases(n_steps):
+def long_domain_cases():
     p = rds.default_params()
     grid = single_domain(LONG_DOMAIN)
-    return [(rds.FieldTriple(a1, 0.0, 0.0), grid, p, LONG_DOMAIN / n_steps) for a1 in (0.2, -0.1)]
+    return [(rds.FieldTriple(a1, 0.0, 0.0), grid, p) for a1 in (0.2, -0.1)]
 
 
 def test_long_domain_blocks_match_scalar_reference():
-    cases = long_domain_cases(10_000)
-    final, drift = rds.propagate_many(cases)
-    assert_matches_reference(cases, final, drift)
+    cases = long_domain_cases()
+    final, drift = rds.propagate_many(cases, 10_000)
+    assert_matches_reference(cases, final, drift, 10_000)
     # the positions of every block continue z += h bit for bit
-    fields, grid, p, step = cases[0]
-    traj = rds.propagate(fields, grid, p, step)
-    ref = reference_propagate(fields, grid, p, step)
+    fields, grid, p = cases[0]
+    traj = rds.propagate(fields, grid, p, 10_000)
+    ref = reference_propagate(fields, grid, p, 10_000)
     assert traj.z.shape == (10_001,) and np.array_equal(traj.z, ref.z)
     assert np.max(np.abs(traj.fields - ref.fields)) <= 1e-12 * 0.2
 
 
 def test_kernel_memory_does_not_grow_with_domain_steps():
     def peak(n_steps):
-        cases = long_domain_cases(n_steps)
+        cases = long_domain_cases()
         tracemalloc.start()
         try:
-            rds.propagate_many(cases)
+            rds.propagate_many(cases, n_steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
