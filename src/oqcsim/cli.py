@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, jones, rds, spin
-from .squeezed import CutoffError, SqueezedStateParams, closed_form_stats, fock_distribution
+from .squeezed import DEFAULT_CUTOFF, CutoffError, SqueezedStateParams, closed_form_stats, fock_distribution
 from .truthtable import (
     CNOT_TABLE,
     NOT_TABLE,
@@ -325,12 +325,13 @@ def run_jones(params, seed):
 
 
 _LENGTH = 'a positive number or "coherence"'
+_COUPLING = rds.default_params()
 _RDS = {
-    "kappa_a": (_number, 1.0),
-    "kappa_b": (_number, 1.0),
-    "dk_a": (_number, 2.0 * math.pi * 1e3),
-    "dk_b": (_number, 2.0 * math.pi * 1e3),
-    "n_domains": (_integer(1), 100),
+    "kappa_a": (_number, _COUPLING.kappa_a),
+    "kappa_b": (_number, _COUPLING.kappa_b),
+    "dk_a": (_number, _COUPLING.dk_a),
+    "dk_b": (_number, _COUPLING.dk_b),
+    "n_domains": (_integer(1), rds.DEFAULT_N_DOMAINS),
     "domain_length": (_check(lambda v: v == "coherence" or (_is_real(v) and v > 0), _LENGTH), None),
     "length": (_number, None),
     "grid_file": (_string, None),
@@ -360,10 +361,11 @@ def _parse_rds(params):
             return rds.qpm_domain_length(p.dk_a)
         return float(q["domain_length"])
 
-    clash = [k for k in ("length", "n_domains", "domain_length") if k in params]
+    # an optional key given as null is absent
+    clash = [k for k in ("length", "n_domains", "domain_length") if params.get(k) is not None]
     if q["grid_file"] is not None and clash:
         raise ConfigError(f"{ctx}: grid_file cannot be combined with {', '.join(clash)}")
-    if "length" in params and "n_domains" in params:
+    if "length" in clash and "n_domains" in clash:
         raise ConfigError(f"{ctx}: n_domains cannot be combined with length")
     try:
         if q["grid_file"] is not None:
@@ -381,12 +383,12 @@ def _parse_rds(params):
 
 
 def run_rds(params, seed):
-    p, grid, fields, q = _parse_rds(params)
+    p, grid, fields, q = parsed = _parse_rds(params)
     if q["gate"] is None:
         traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
         return {"columns": columns, "rows": [list(r) for r in traj.csv_rows(q["sample_stride"])]}
-    cal, gates = _rds_gates(params)
+    cal, gates = _rds_gates(parsed)
     if q["gate"] == "not":
         columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
     else:
@@ -399,7 +401,7 @@ _STATS = {
     "alpha": (_complex_pair, [0.0, 0.0]),
     "r": (_number, 0.0),
     "theta": (_number, 0.0),
-    "cutoff": (_integer(1), 400),
+    "cutoff": (_integer(1), DEFAULT_CUTOFF),
     "distribution": (_boolean, False),
 }
 
@@ -468,9 +470,9 @@ def _jones_gates():
     return {name: _column_gate(jones.gate_matrix(2, network)) for name, network in networks.items()}
 
 
-def _rds_gates(params):
-    """Calibration of an rds config and its threshold gates, the margin their level separation."""
-    p, grid, _, q = _parse_rds(params)
+def _rds_gates(parsed):
+    """Calibration of a parsed rds config and its threshold gates, the margin their level separation."""
+    p, grid, _, q = parsed
     cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], q["steps_per_domain"])
 
     def gate(separation):
@@ -479,7 +481,7 @@ def _rds_gates(params):
     return cal, {"NOT": gate(cal.separation_sh), "CNOT": gate(cal.separation_th)}
 
 
-_GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": lambda: _rds_gates({})[1]}
+_GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": lambda: _rds_gates(_parse_rds({}))[1]}
 
 
 def verify_truth_tables(backends=("spin", "jones", "rds")):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -185,12 +185,8 @@ def _propagate(amps, elements):
     return amps
 
 
-def apply_element(reg: ModeRegister, element) -> ModeRegister:
-    """Apply one lossless element; untouched modes are copied bit-exactly."""
-    return apply_network(reg, [element])
-
-
 def apply_network(reg: ModeRegister, elements) -> ModeRegister:
+    """The network applied to one register, the kernel's batch of one; untouched modes are copied bit-exactly."""
     amps = reg.amplitudes[:, :, np.newaxis].copy()
     return ModeRegister(_propagate(amps, elements)[:, :, 0])
 
@@ -246,14 +242,6 @@ def cnot_network(n_qubits: int, control: int, target: int) -> list:
         if (m >> cbit) & 1 and not (m >> tbit) & 1:
             elements += _full_swap(m, m | (1 << tbit))
     return elements
-
-
-def not_gate(reg: ModeRegister, qubit: int) -> ModeRegister:
-    return apply_network(reg, not_network(reg.n_qubits, qubit))
-
-
-def cnot_gate(reg: ModeRegister, control: int, target: int) -> ModeRegister:
-    return apply_network(reg, cnot_network(reg.n_qubits, control, target))
 
 
 def gate_matrix(n_qubits: int, elements) -> np.ndarray:

@@ -50,6 +50,7 @@ import numpy as np
 DARK_FLOOR_RATIO = 1e-30
 
 DEFAULT_STEPS_PER_DOMAIN = 16
+DEFAULT_N_DOMAINS = 100
 DEFAULT_BEAM_AMPLITUDE = 0.1
 
 
@@ -94,15 +95,6 @@ class DomainGrid:
     def total_length(self):
         return float(self.lengths.sum())
 
-    def reversed(self) -> "DomainGrid":
-        """Mirror the grid: reverse domain order and flip every sign."""
-        return DomainGrid(self.lengths[::-1].copy(), -self.signs[::-1])
-
-    def save(self, path):
-        with open(path, "w") as f:
-            for length, sign in zip(self.lengths, self.signs):
-                f.write(f"{length:.17g} {int(sign):+d}\n")
-
     @classmethod
     def load(cls, path) -> "DomainGrid":
         lengths, signs = [], []
@@ -138,12 +130,6 @@ class FieldTriple:
     a1: complex
     a2: complex
     a3: complex
-
-    def manley_rowe(self):
-        return abs(self.a1) ** 2 + 2 * abs(self.a2) ** 2 + 3 * abs(self.a3) ** 2
-
-    def powers(self):
-        return (abs(self.a1) ** 2, abs(self.a2) ** 2, abs(self.a3) ** 2)
 
 
 @dataclass
@@ -183,20 +169,18 @@ def qpm_domain_length(dk: float) -> float:
     return math.pi / abs(dk)
 
 
-def make_periodic_grid(total_length: float, domain_length: float, first_sign: int = 1) -> DomainGrid:
+def make_periodic_grid(total_length: float, domain_length: float) -> DomainGrid:
     """Equal alternating domains; a final partial domain absorbs the remainder."""
     if not (total_length >= domain_length > 0.0):
         raise ValueError(
             f"need total_length >= domain_length > 0, got {total_length}, {domain_length}"
         )
-    if first_sign not in (1, -1):
-        raise ValueError("first_sign must be +1 or -1")
     n_full = int(total_length / domain_length)
     remainder = total_length - n_full * domain_length
     lengths = [domain_length] * n_full
     if remainder > 1e-12 * total_length:
         lengths.append(remainder)
-    signs = [first_sign * (-1) ** i for i in range(len(lengths))]
+    signs = [(-1) ** i for i in range(len(lengths))]
     return DomainGrid(np.array(lengths), np.array(signs, dtype=float))
 
 
@@ -375,7 +359,7 @@ def default_params() -> CoupledModeParams:
     return CoupledModeParams(kappa_a=1.0, kappa_b=1.0, dk_a=dk, dk_b=dk)
 
 
-def default_grid(params: CoupledModeParams | None = None, n_domains: int = 100) -> DomainGrid:
+def default_grid(params: CoupledModeParams | None = None, n_domains: int = DEFAULT_N_DOMAINS) -> DomainGrid:
     """First-order QPM grid of n_domains coherence lengths."""
     p = params or default_params()
     lc = qpm_domain_length(p.dk_a)
@@ -385,7 +369,7 @@ def default_grid(params: CoupledModeParams | None = None, n_domains: int = 100) 
 def qpm_enhancement_check(
     params: CoupledModeParams,
     n_domains: int,
-    steps_per_domain: int = 32,
+    steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN,
     poled: bool = True,
 ) -> float:
     """SH growth-rate ratio of a (quasi-)phase-matched grid vs perfect matching.

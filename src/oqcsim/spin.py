@@ -134,10 +134,6 @@ def sequence_unitary(segments: Sequence[PulseSegment], n: int, j12: float) -> np
     return _propagate(np.eye(2**n, dtype=complex), segments, j12)
 
 
-def apply_pulse(state: SpinState, seg: PulseSegment, j12: float = 0.0) -> SpinState:
-    return apply_sequence(state, [seg], j12)
-
-
 def apply_sequence(state, segments, j12):
     return SpinState(_propagate(state.amplitudes[:, np.newaxis], segments, j12)[:, 0])
 

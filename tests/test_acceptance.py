@@ -62,7 +62,7 @@ def test_criterion_2_norm_and_power_preservation(capsys):
                 )
             else:
                 seg = spin.FreeCouplingEvolution(abs(rng.normal()))
-            state = spin.apply_pulse(state, seg, j12)
+            state = spin.apply_sequence(state, [seg], j12)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
     for _ in range(500):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -76,7 +76,7 @@ def test_criterion_2_norm_and_power_preservation(capsys):
             else:
                 a, b = rng.choice(4, size=2, replace=False)
                 e = jones.PBSSwap(int(a), int(b))
-            reg = jones.apply_element(reg, e)
+            reg = jones.apply_network(reg, [e])
         assert abs(reg.total_power - 1.0) < 1e-10
     with capsys.disabled():
         report(2, "1000 randomized spin/jones sequences preserve norm within 1e-10")

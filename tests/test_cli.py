@@ -166,6 +166,22 @@ def test_run_stats_row(tmp_path):
     assert row["mandel_q"] == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_vacuum_keeps_nan_q_and_g2(tmp_path, capsys, fmt):
+    # alpha 0 and r 0: Q and g2(0) are 0/0, written null in JSON and nan in CSV
+    cfg = write_config(tmp_path, "vacuum.json", {"backend": "stats", "parameters": {}, "output": {"format": fmt}})
+    assert cli.main(["run", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(out)
+        row = dict(zip(payload["columns"], payload["rows"][0]))
+        assert row["mean_n"] == 0.0 and row["mandel_q"] is None and row["g2_zero"] is None
+    else:
+        header, line = out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["mean_n"] == "0" and row["mandel_q"] == "nan" and row["g2_zero"] == "nan"
+
+
 def test_deterministic_outputs_byte_identical(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -363,6 +379,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         ("run", {"backend": "rds", "parameters": {"grid_file": "inf-grid.txt"}}, None),
         ("sweep", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO}, None),
         ("run", {"backend": "rds", "parameters": {"length": 0.0035, "n_domains": 7}}, None),
+        ("run", {"backend": "rds", "parameters": {"n_domains": None}}, None),
         ("run", {"backend": "stats", "parameters": {"alpha": [1e160, 0], "r": 0.3}}, None),
         ("run", {"backend": "stats", "parameters": {"alpha": [1e160, 0], "distribution": True}}, None),
         ("run", {"backend": "stats", "parameters": {"r": 200}}, None),
@@ -405,6 +422,7 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "grid-file-inf-length",
         "rds-sweep-dk-a-through-zero-on-qpm-grid",
         "rds-n-domains-with-length",
+        "rds-n-domains-null",
         "stats-alpha-moments-overflow",
         "stats-alpha-distribution-moments-overflow",
         "stats-r-200-variance-overflow",
@@ -431,6 +449,26 @@ def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"length": None, "n_domains": 5},
+        {"grid_file": "grid.txt", "length": None},
+        {"grid_file": "grid.txt", "domain_length": None},
+    ],
+    ids=["length-null-with-n-domains", "grid-file-with-length-null", "grid-file-with-domain-length-null"],
+)
+def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, params):
+    (tmp_path / "grid.txt").write_text("5e-4 1\n5e-4 -1\n5e-4 1\n")
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for given in (params, {k: v for k, v in params.items() if v is not None}):
+        cfg = write_config(tmp_path, "null.json", {"backend": "rds", "parameters": dict(given, steps_per_domain=8)})
+        assert cli.main(["run", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
 
 
 @pytest.mark.parametrize(
@@ -515,6 +553,23 @@ def test_rds_gate_run_is_one_kernel_call(tmp_path, capsys, kernel_widths, gate):
     cfg = write_config(tmp_path, "gate.json", {"backend": "rds", "parameters": {"gate": gate}})
     assert cli.main(["run", "--config", cfg]) == 0
     assert kernel_widths == [3]
+
+
+def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
+    grid_file = tmp_path / "grid.txt"
+    grid_file.write_text("".join(f"5e-4 {(-1) ** i:+d}\n" for i in range(10)))
+    loads = []
+    load = rds.DomainGrid.load
+
+    def counted(cls, path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(rds.DomainGrid, "load", classmethod(counted))
+    params = {"grid_file": str(grid_file), "gate": "cnot", "steps_per_domain": 8}
+    cfg = write_config(tmp_path, "gate.json", {"backend": "rds", "parameters": params})
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert loads == [str(grid_file)]
 
 
 def test_rds_truth_table_is_one_kernel_call(capsys, kernel_widths):

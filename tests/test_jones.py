@@ -153,7 +153,7 @@ def test_nonfinite_element_rejected(build):
 def test_pbs_swap_routes_v_only():
     amps = np.zeros(4, dtype=complex)
     amps[1] = 1.0  # (mode 0, V)
-    reg = jones.apply_element(jones.encode_state(amps), jones.PBSSwap(0, 1))
+    reg = jones.apply_network(jones.encode_state(amps), [jones.PBSSwap(0, 1)])
     assert reg.amplitudes[1, jones.V] == 1.0
     assert reg.amplitudes[0, jones.V] == 0.0
 
@@ -161,7 +161,7 @@ def test_pbs_swap_routes_v_only():
 def test_apply_element_conserves_power_and_leaves_other_modes():
     rng = np.random.default_rng(9)
     reg = random_register(rng, 3)
-    out = jones.apply_element(reg, jones.Waveplate(0.7, 0.3, modes=(1, 2)))
+    out = jones.apply_network(reg, [jones.Waveplate(0.7, 0.3, modes=(1, 2))])
     assert abs(out.total_power - reg.total_power) < 1e-10
     assert np.array_equal(out.amplitudes[0], reg.amplitudes[0])
     assert np.array_equal(out.amplitudes[3], reg.amplitudes[3])
@@ -173,23 +173,23 @@ def test_global_half_wave_plate_flips_last_qubit():
     for k in range(8):
         amps = np.zeros(8, dtype=complex)
         amps[k] = 1.0
-        out = jones.decode_state(jones.apply_element(jones.encode_state(amps), hwp))
+        out = jones.decode_state(jones.apply_network(jones.encode_state(amps), [hwp]))
         assert abs(out[k ^ 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mode_index_out_of_range():
     reg = jones.encode_state([1.0, 0.0])
     with pytest.raises(ValueError):
-        jones.apply_element(reg, jones.Waveplate(1.0, 0.0, modes=(5,)))
+        jones.apply_network(reg, [jones.Waveplate(1.0, 0.0, modes=(5,))])
     with pytest.raises(ValueError):
-        jones.apply_element(reg, jones.PBSSwap(0, 3))
+        jones.apply_network(reg, [jones.PBSSwap(0, 3)])
 
 
 @pytest.mark.parametrize("element", [jones.Waveplate(1.0, 0.3, modes=(1, 1)), jones.Rotator(0.4, modes=(0, 1, 0))])
 def test_repeated_mode_rejected(element):
     reg = random_register(np.random.default_rng(13), 2)
     with pytest.raises(ValueError):
-        jones.apply_element(reg, element)
+        jones.apply_network(reg, [element])
     with pytest.raises(ValueError):
         jones.gate_matrix(2, [element])
 
@@ -334,24 +334,28 @@ def test_cnot_gate_matches_permutation_oracle(n):
 def test_not_gate_examples():
     amps = np.zeros(8, dtype=complex)
     amps[0] = 1.0  # |000>
-    out = jones.decode_state(jones.not_gate(jones.encode_state(amps), 2))
+    reg = jones.encode_state(amps)
+    out = jones.decode_state(jones.apply_network(reg, jones.not_network(reg.n_qubits, 2)))
     assert abs(out[1]) == pytest.approx(1.0, abs=1e-12)  # |001>
     amps = np.zeros(8, dtype=complex)
     amps[7] = 1.0  # |111>
-    out = jones.decode_state(jones.not_gate(jones.encode_state(amps), 0))
+    reg = jones.encode_state(amps)
+    out = jones.decode_state(jones.apply_network(reg, jones.not_network(reg.n_qubits, 0)))
     assert abs(out[3]) == pytest.approx(1.0, abs=1e-12)  # |011>
 
 
 def test_not_gate_involution():
     rng = np.random.default_rng(3)
     reg = random_register(rng, 3)
-    out = jones.not_gate(jones.not_gate(reg, 1), 1)
+    not_1 = jones.not_network(reg.n_qubits, 1)
+    out = jones.apply_network(jones.apply_network(reg, not_1), not_1)
     assert np.max(np.abs(out.amplitudes - reg.amplitudes)) < 1e-12
 
 
 def test_cnot_superposition_linearity():
     amps = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2)  # (|00> + |10>)/sqrt(2)
-    out = jones.decode_state(jones.cnot_gate(jones.encode_state(amps), 0, 1))
+    reg = jones.encode_state(amps)
+    out = jones.decode_state(jones.apply_network(reg, jones.cnot_network(reg.n_qubits, 0, 1)))
     expected = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
     assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -359,7 +363,7 @@ def test_cnot_superposition_linearity():
 def test_cnot_rejects_equal_control_target():
     reg = jones.encode_state([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        jones.cnot_gate(reg, 1, 1)
+        jones.apply_network(reg, jones.cnot_network(reg.n_qubits, 1, 1))
 
 
 def test_decode_roundtrip_random_states():
@@ -375,7 +379,8 @@ def test_decode_after_not_is_permuted_input():
     rng = np.random.default_rng(23)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    out = jones.decode_state(jones.not_gate(jones.encode_state(amps), 2))
+    reg = jones.encode_state(amps)
+    out = jones.decode_state(jones.apply_network(reg, jones.not_network(reg.n_qubits, 2)))
     perm = not_permutation(3, 2)
     assert np.max(np.abs(out[perm] - amps)) < 1e-12
 
@@ -385,8 +390,8 @@ def test_disjoint_elements_commute_exactly():
     reg = random_register(rng, 3)
     e1 = jones.Waveplate(0.4, 1.1, modes=(0, 1))
     e2 = jones.Rotator(0.9, modes=(2, 3))
-    ab = jones.apply_element(jones.apply_element(reg, e1), e2)
-    ba = jones.apply_element(jones.apply_element(reg, e2), e1)
+    ab = jones.apply_network(jones.apply_network(reg, [e1]), [e2])
+    ba = jones.apply_network(jones.apply_network(reg, [e2]), [e1])
     assert np.array_equal(ab.amplitudes, ba.amplitudes)
 
 
@@ -403,5 +408,5 @@ def test_power_preserved_under_random_networks():
             else:
                 a, b = rng.choice(4, size=2, replace=False)
                 e = jones.PBSSwap(int(a), int(b))
-            reg = jones.apply_element(reg, e)
+            reg = jones.apply_network(reg, [e])
         assert abs(reg.total_power - 1.0) < 1e-10

@@ -48,7 +48,7 @@ def test_evolve_matches_expm_oracle():
 
 def test_hard_rotation_x_pi_is_sigma_x_up_to_phase():
     seg = spin.HardRotation(1, 0.0, math.pi)
-    out = spin.apply_pulse(spin.SpinState.basis("00"), seg)
+    out = spin.apply_sequence(spin.SpinState.basis("00"), [seg], 0.0)
     assert abs(out.amplitudes[1] - (-1j)) < 1e-12
 
 
@@ -87,7 +87,7 @@ def test_cached_rotation_is_read_only_and_matrix_is_a_copy():
 
 def test_free_evolution_zero_is_identity():
     state = spin.SpinState(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-    out = spin.apply_pulse(state, spin.FreeCouplingEvolution(0.0), j12=0.4)
+    out = spin.apply_sequence(state, [spin.FreeCouplingEvolution(0.0)], 0.4)
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
@@ -99,7 +99,7 @@ def test_free_evolution_matches_expm_oracle():
     for i in range(4):
         amps = np.zeros(4, dtype=complex)
         amps[i] = 1.0
-        out = spin.apply_pulse(spin.SpinState(amps), spin.FreeCouplingEvolution(tau), j12)
+        out = spin.apply_sequence(spin.SpinState(amps), [spin.FreeCouplingEvolution(tau)], j12)
         assert np.max(np.abs(out.amplitudes - oracle @ amps)) < 1e-12
 
 
@@ -165,7 +165,7 @@ def test_free_evolution_negative_duration_rejected():
 
 def test_hard_rotation_spin_out_of_range():
     with pytest.raises(ValueError):
-        spin.apply_pulse(spin.SpinState.basis("00"), spin.HardRotation(2, 0.0, 1.0))
+        spin.apply_sequence(spin.SpinState.basis("00"), [spin.HardRotation(2, 0.0, 1.0)], 0.0)
 
 
 def test_compile_not_truth_table():
@@ -258,7 +258,7 @@ def test_norm_preserved_under_random_sequences():
                 seg = spin.HardRotation(int(rng.integers(2)), rng.uniform(0, 2 * math.pi), rng.normal() * 3)
             else:
                 seg = spin.FreeCouplingEvolution(abs(rng.normal()))
-            state = spin.apply_pulse(state, seg, j12)
+            state = spin.apply_sequence(state, [seg], j12)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
