@@ -416,17 +416,22 @@ def _parse_stats(params):
         raise ConfigError(f"{ctx}: {exc}")
 
 
+_MOMENTS = ["mean_n", "var_n", "mandel_q", "g2_zero"]
+
+
+def _moments(s):
+    """Photon-number mean, variance, Mandel Q and g2(0) of a squeezed state."""
+    st = closed_form_stats(s)
+    return [st.mean_n, st.var_n, st.mandel_q, st.g2_zero]
+
+
 def run_stats(params, seed):
     s, q = _parse_stats(params)
     if q["distribution"]:
         p = fock_distribution(s, q["cutoff"])
         return {"columns": ["n", "p"], "rows": [[int(n), float(x)] for n, x in enumerate(p)]}
-    st = closed_form_stats(s)
-    row = [s.alpha.real, s.alpha.imag, s.r, s.theta, st.mean_n, st.var_n, st.mandel_q, st.g2_zero]
-    return {
-        "columns": ["alpha_re", "alpha_im", "r", "theta", "mean_n", "var_n", "mandel_q", "g2_zero"],
-        "rows": [row],
-    }
+    row = [s.alpha.real, s.alpha.imag, s.r, s.theta, *_moments(s)]
+    return {"columns": ["alpha_re", "alpha_im", "r", "theta", *_MOMENTS], "rows": [row]}
 
 
 _RUNNERS = {"spin": run_spin, "jones": run_jones, "rds": run_rds, "stats": run_stats}
@@ -507,94 +512,80 @@ def verify_truth_tables(backends=("spin", "jones", "rds")):
 # validated before any is computed.
 
 
-def _rds_sweep(params, name, values):
+def _swept(params, name, value):
+    """Raw parameters of one row: beam_amplitude sets a1 = [value, 0], alpha_re/alpha_im one part of alpha."""
+    if name == "beam_amplitude":
+        return dict(params, a1=[value, 0.0])
+    if name in ("alpha_re", "alpha_im"):
+        alpha = params.get("alpha", _STATS["alpha"][1])
+        if isinstance(alpha, list) and len(alpha) == 2:  # any other alpha fails its parse
+            alpha = [value, alpha[1]] if name == "alpha_re" else [alpha[0], value]
+        return dict(params, alpha=alpha)
+    return dict(params, **{name: value})
+
+
+def _rds_sweep(parsed):
     """One kernel call for every row (see rds.propagate_many)."""
-    if name not in ("length", "dk_a", "kappa_a", "beam_amplitude"):
-        raise ConfigError(f'unknown sweep parameter "{name}" for backend rds')
-    cases = []
-    for value in values:
-        if name == "beam_amplitude":
-            p, grid, fields, q = _parse_rds(dict(params, a1=[value, 0.0]))
-        else:
-            p, grid, fields, q = _parse_rds(dict(params, **{name: value}))
-        cases.append((fields, grid, p))
-    final, drift = rds.propagate_many(cases, q["steps_per_domain"])
-    powers = np.abs(final) ** 2
+    cases = [(fields, grid, p) for p, grid, fields, _ in parsed]
+    final, drift = rds.propagate_many(cases, parsed[0][3]["steps_per_domain"])
     rows = []
-    for i, value in enumerate(values):
-        p1, p2, p3 = (float(x) for x in powers[:, i])
-        p1_in = abs(cases[i][0].a1) ** 2
-        eff = p2 / p1_in if p1_in > 0 else 0.0
-        rows.append([value, p1, p2, p3, eff, float(drift[i])])
-    return ["value", "p1_out", "p2_out", "p3_out", "efficiency_sh", "manley_drift"], rows
+    for (fields, _, _), (p1, p2, p3), d in zip(cases, (np.abs(final) ** 2).T.tolist(), drift.tolist()):
+        p1_in = abs(fields.a1) ** 2
+        rows.append([p1, p2, p3, p2 / p1_in if p1_in > 0 else 0.0, d])
+    return ["p1_out", "p2_out", "p3_out", "efficiency_sh", "manley_drift"], rows
 
 
-def _stats_sweep(params, name, values):
-    if name not in ("r", "theta", "alpha_re", "alpha_im"):
-        raise ConfigError(f'unknown sweep parameter "{name}" for backend stats')
-    alpha = _parse_stats(params)[0].alpha
-    params = dict(params, distribution=False)
-    rows = []
-    for value in values:
-        if name == "alpha_re":
-            row_params = dict(params, alpha=[value, alpha.imag])
-        elif name == "alpha_im":
-            row_params = dict(params, alpha=[alpha.real, value])
-        else:
-            row_params = dict(params, **{name: value})
-        rows.append([value] + run_stats(row_params, 0)["rows"][0][4:])
-    return ["value", "mean_n", "var_n", "mandel_q", "g2_zero"], rows
+def _stats_sweep(parsed):
+    return _MOMENTS, [_moments(s) for s, _ in parsed]
 
 
-def _spin_sweep(params, name, values):
+def _spin_sweep(parsed):
     """Fidelity of the configured gate, CNOT by default, against its permutation."""
-    if name != "j12":
-        raise ConfigError(f'unknown sweep parameter "{name}" for backend spin')
-    rows = []
-    for value in values:
-        q = _parse_spin(dict(params, j12=value))
-        rows.append([value, _spin_fidelity(q, q["gate"] or "cnot")[1]])
-    return ["value", "fidelity"], rows
+    return ["fidelity"], [[_spin_fidelity(q, q["gate"] or "cnot")[1]] for q in parsed]
+
+
+# backend -> (row parser, sweep parameters, evaluator of the parsed rows: (columns, rows))
+_SWEEPS = {
+    "rds": (_parse_rds, ("length", "dk_a", "kappa_a", "beam_amplitude"), _rds_sweep),
+    "stats": (_parse_stats, ("r", "theta", "alpha_re", "alpha_im"), _stats_sweep),
+    "spin": (_parse_spin, ("j12",), _spin_sweep),
+}
 
 
 def run_sweep(cfg):
     sweep = cfg["sweep"]
     if sweep is None:
         raise ConfigError("sweep command requires a sweep section in the config")
-    backend = cfg["backend"]
-    sweepers = {"rds": _rds_sweep, "stats": _stats_sweep, "spin": _spin_sweep}
-    if backend not in sweepers:
+    backend, name = cfg["backend"], sweep["parameter"]
+    if backend not in _SWEEPS:
         raise ConfigError(f'backend "{backend}" has no sweepable parameters')
+    parse, names, evaluate = _SWEEPS[backend]
+    if name not in names:
+        raise ConfigError(f'unknown sweep parameter "{name}" for backend {backend}')
+    if not math.isfinite(sweep["stop"] - sweep["start"]):
+        raise ConfigError("sweep stop - start must be a finite number")
     values = [float(v) for v in np.linspace(sweep["start"], sweep["stop"], sweep["count"])]
-    columns, rows = sweepers[backend](cfg["parameters"], sweep["parameter"], values)
-    return {"columns": columns, "rows": rows}
+    parsed = [parse(_swept(cfg["parameters"], name, value)) for value in values]
+    columns, rows = evaluate(parsed)
+    return {"columns": ["value", *columns], "rows": [[value, *row] for value, row in zip(values, rows)]}
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_run(args):
+    """Write the output of one config: a run, or its sweep for the sweep command."""
     cfg = load_config(args.config)
-    if cfg["sweep"] is not None:
+    if args.command == "sweep":
+        payload = run_sweep(cfg)
+    elif cfg["sweep"] is not None:
         raise ConfigError("config contains a sweep section; use the sweep command")
-    seed = cfg["seed"] if args.seed is None else args.seed
-    payload = _RUNNERS[cfg["backend"]](cfg["parameters"], seed)
-    out, fmt = _resolve_output(cfg, args)
-    write_payload(payload, out, fmt)
-    return EXIT_OK
-
-
-def cmd_sweep(args):
-    cfg = load_config(args.config)
-    payload = run_sweep(cfg)
-    out, fmt = _resolve_output(cfg, args)
-    write_payload(payload, out, fmt)
-    return EXIT_OK
-
-
-def _resolve_output(cfg, args):
+    else:
+        seed = cfg["seed"] if args.seed is None else args.seed
+        payload = _RUNNERS[cfg["backend"]](cfg["parameters"], seed)
     output = cfg["output"] or _parse({}, _OUTPUT, "output")
-    return output["path"] if args.out is None else args.out, output["format"]
+    write_payload(payload, output["path"] if args.out is None else args.out, output["format"])
+    return EXIT_OK
 
 
 def cmd_truthtable(args):
@@ -645,7 +636,7 @@ def build_parser():
     p_sw = sub.add_parser("sweep", help="run a one-parameter sweep")
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--out", default=None)
-    p_sw.set_defaults(func=cmd_sweep)
+    p_sw.set_defaults(func=cmd_run)
 
     p_v = sub.add_parser("version", help="print the package version")
     p_v.set_defaults(func=cmd_version)

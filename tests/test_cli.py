@@ -333,6 +333,8 @@ def test_version_matches_pyproject():
 SPIN_SWEEP = {"parameter": "j12", "start": 0.1, "stop": 1.0, "count": 3}
 # the third of five values is dk_a = 0, for which the default QPM grid is undefined
 DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count": 5}
+# stop - start overflows a float, though start and stop are finite
+OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
 
 
 @pytest.mark.parametrize(
@@ -399,6 +401,10 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
             },
             None,
         ),
+        *[
+            ("sweep", {"backend": backend, "parameters": {}, "sweep": dict(OVERFLOWING_RANGE, parameter=name)}, None)
+            for backend, name in (("rds", "kappa_a"), ("stats", "r"), ("spin", "j12"))
+        ],
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -434,6 +440,9 @@ DK_THROUGH_ZERO = {"parameter": "dk_a", "start": -3000.0, "stop": 3000.0, "count
         "spin-shots-1e29",
         "spin-shots-2-to-63",
         "stats-sweep-r-to-1e300",
+        "sweep-range-overflows-rds",
+        "sweep-range-overflows-stats",
+        "sweep-range-overflows-spin",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
@@ -609,3 +618,63 @@ def test_rds_sweep_validates_every_row_before_integrating(tmp_path, capsys, kern
     cfg = write_config(tmp_path, "dk.json", {"backend": "rds", "parameters": {}, "sweep": DK_THROUGH_ZERO})
     assert cli.main(["sweep", "--config", cfg]) == 2
     assert kernel_widths == []
+
+
+def test_stats_sweep_validates_every_row_before_evaluating(tmp_path, monkeypatch, capsys):
+    calls = []
+    closed_form_stats = cli.closed_form_stats
+
+    def counted(s):
+        calls.append(s)
+        return closed_form_stats(s)
+
+    monkeypatch.setattr(cli, "closed_form_stats", counted)
+    # rows 1 to 4 overflow the photon-number statistics
+    sweep = {"parameter": "r", "start": 0.0, "stop": 1e300, "count": 5}
+    cfg = write_config(tmp_path, "r.json", {"backend": "stats", "parameters": {}, "sweep": sweep})
+    assert cli.main(["sweep", "--config", cfg]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "base,sweep",
+    [
+        ({"r": 200}, {"parameter": "r", "start": 0.0, "stop": 1.0, "count": 5}),
+        ({"alpha": [1e160, 0]}, {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "count": 5}),
+    ],
+    ids=["r", "alpha_re"],
+)
+def test_sweep_ignores_base_value_of_swept_key(tmp_path, capsys, base, sweep):
+    outputs = []
+    for params in (base, {}):
+        cfg = write_config(tmp_path, "base.json", {"backend": "stats", "parameters": params, "sweep": sweep})
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert len(outputs[0].out.splitlines()) == 6
+
+
+def test_readme_spin_example_runs_as_documented(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "backend": "spin",
+        "parameters": {"gate": "cnot", "initial": "10", "shots": 1000},
+        "seed": 42,
+        "output": {"path": "out.csv", "format": "csv"},
+    })
+    assert cli.main(["run", "--config", cfg]) == 0
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert lines[0] == "basis,re,im,probability,counts"
+    counts = {row.split(",")[0]: int(row.split(",")[-1]) for row in lines[1:]}
+    assert counts == {"00": 0, "01": 0, "10": 0, "11": 1000}
+
+
+def test_readme_sweep_example_runs_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "sweep.json", {
+        "backend": "rds",
+        "parameters": {"kappa_b": 0.0, "length": 0.05, "a1": [0.1, 0.0]},
+        "sweep": {"parameter": "dk_a", "start": -400.0, "stop": 400.0, "count": 81},
+    })
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 82
