@@ -41,6 +41,9 @@ BACKENDS = ("spin", "jones", "rds", "stats")
 MARGIN_CAP = 1e30
 # Largest spin "shots": the multinomial sampler counts in int64.
 MAX_SHOTS = 2**63 - 1
+# Largest stats "cutoff": the time and memory of a distribution run grow
+# in proportion to it, to about 260 MB at this cap.
+MAX_CUTOFF = 10**6
 
 
 class ConfigError(Exception):
@@ -397,11 +400,12 @@ def run_rds(params, seed):
     return {"columns": columns + ["separation", "threshold"], "rows": rows}
 
 
+_CUTOFF = _check(lambda v: type(v) is int and 1 <= v <= MAX_CUTOFF, f"an integer from 1 to {MAX_CUTOFF}")
 _STATS = {
     "alpha": (_complex_pair, [0.0, 0.0]),
     "r": (_number, 0.0),
     "theta": (_number, 0.0),
-    "cutoff": (_integer(1), DEFAULT_CUTOFF),
+    "cutoff": (_CUTOFF, DEFAULT_CUTOFF),
     "distribution": (_boolean, False),
 }
 

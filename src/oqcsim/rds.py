@@ -423,7 +423,9 @@ def calibrate_thresholds(
     of its channel (dark levels floored, since perfect destructive
     interference yields exactly zero power).  Raises CalibrationError when
     the levels are separated by less than a factor 2, as they are without
-    SFG coupling (kappa_b = 0), where every TH level is zero.  Thresholds
+    SFG coupling (kappa_b = 0), where every TH level is zero, and when a
+    bright level is so small that its dark floor underflows to 0 (beam
+    amplitude below about 1e-75 on the default crystal).  Thresholds
     are only valid for this beam amplitude; changing the amplitude
     requires recalibration.
     """
@@ -443,7 +445,13 @@ def calibrate_thresholds(
     def separation(high, low):
         if high <= 0.0:
             return 0.0
-        return high / max(low, high * DARK_FLOOR_RATIO)
+        floor = max(low, high * DARK_FLOOR_RATIO)
+        if floor == 0.0:
+            raise CalibrationError(
+                f"logic levels underflow: dark floor {DARK_FLOOR_RATIO:g} x bright level {high:.3e} is 0; "
+                "use a larger beam_amplitude"
+            )
+        return high / floor
 
     sep_sh = separation(sh_high, sh_low)
     sep_th = separation(th_high, th_low)

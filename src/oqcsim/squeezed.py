@@ -11,6 +11,7 @@ vacuum quadrature variance 1/4.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ import numpy as np
 DEFAULT_CUTOFF = 400
 _RESCALE = 2.0**256
 _LOG_RESCALE = 256 * math.log(2.0)
+# Recurrence indices per coefficient table of fock_distribution.
+_BLOCK = 4096
 
 
 class CutoffError(ValueError):
@@ -84,10 +87,19 @@ def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> n
     The amplitudes psi_n = <n|alpha, xi> obey Yuen's three-term recurrence
     (PRA 13, 2226, 1976), from the eigen-relation of a cosh r + a^dag
     e^{i theta} sinh r with eigenvalue gamma:
-    psi_{n+1} = (gamma psi_n - e^{i theta} sinh r sqrt(n) psi_{n-1}) / (cosh r sqrt(n+1)),
+    psi_{n+1} = (gamma psi_n - c_n psi_{n-1}) / d_n,
+    c_n = e^{i theta} sinh r sqrt(n), d_n = cosh r sqrt(n+1),
     psi_0 = exp(-|alpha|^2/2 - alpha*^2 e^{i theta} tanh r / 2) / sqrt(cosh r).
-    psi_0 underflows for |alpha| above about 38, so each amplitude carries
-    a log scale, raised whenever |psi_n| passes _RESCALE.  The
+    The coefficients do not depend on the amplitudes, so they come from
+    one np.sqrt table per block of at most _BLOCK indices (whole-cutoff
+    tables would double the peak memory at large cutoffs).  psi_0
+    underflows for |alpha| above about 38, so the amplitudes carry a log
+    scale, raised by _LOG_RESCALE whenever |psi_n| passes _RESCALE; the
+    loop records only the indices where that happens and the per-amplitude
+    scales are rebuilt from them after it.  Every factor is rounded as in
+    the per-step recurrence (np.sqrt and math.sqrt are both correctly
+    rounded, and a complex times a real rounds alike in numpy and Python),
+    so the probabilities are bitwise those of the per-step loop.  The
     normalization deficit and the top-bin mass serve as the tail check.
     """
     if cutoff < 1:
@@ -97,17 +109,22 @@ def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> n
     phase = cmath.exp(1j * s.theta)
     gamma = alpha * ch + alpha.conjugate() * phase * sh
     log_psi0 = -0.5 * abs(alpha) ** 2 - 0.5 * alpha.conjugate() ** 2 * phase * math.tanh(s.r)
-    prev, psi, scale = 0.0, cmath.exp(1j * log_psi0.imag) / math.sqrt(ch), log_psi0.real
-    amplitudes, scales = [psi], [scale]
-    for n in range(cutoff):
-        prev, psi = psi, (gamma * psi - phase * sh * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
-        if abs(psi) > _RESCALE:
-            prev, psi, scale = prev / _RESCALE, psi / _RESCALE, scale + _LOG_RESCALE
-        amplitudes.append(psi)
-        scales.append(scale)
+    prev, psi = 0.0, cmath.exp(1j * log_psi0.imag) / math.sqrt(ch)
+    amplitudes, rescaled_at = [psi], []
+    for start in range(0, cutoff, _BLOCK):
+        roots = np.sqrt(np.arange(start, min(start + _BLOCK, cutoff) + 1))
+        for c, d in zip((phase * sh * roots[:-1]).tolist(), (ch * roots[1:]).tolist()):
+            prev, psi = psi, (gamma * psi - c * prev) / d
+            if abs(psi) > _RESCALE:
+                prev, psi = prev / _RESCALE, psi / _RESCALE
+                rescaled_at.append(len(amplitudes))
+            amplitudes.append(psi)
+    levels = list(itertools.accumulate([_LOG_RESCALE] * len(rescaled_at), initial=log_psi0.real))
     # amplitudes near |alpha| ~ 1e150 overflow here; the nan tail raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.abs(amplitudes) ** 2 * np.exp(2.0 * np.array(scales))
+        p = np.abs(amplitudes) ** 2
+        del amplitudes  # five times the size of p: the scale arrays reuse its memory
+        p *= np.exp(2.0 * np.repeat(levels, np.diff([0, *rescaled_at, cutoff + 1])))
     tail = max(abs(1.0 - p.sum()), float(p[-1]))
     if not tail <= 1e-10:
         raise CutoffError(f"tail mass {tail:.3e} exceeds 1e-10 at cutoff {cutoff}")

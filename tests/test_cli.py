@@ -405,6 +405,14 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
             ("sweep", {"backend": backend, "parameters": {}, "sweep": dict(OVERFLOWING_RANGE, parameter=name)}, None)
             for backend, name in (("rds", "kappa_a"), ("stats", "r"), ("spin", "j12"))
         ],
+        ("run", {"backend": "stats", "parameters": {"cutoff": cli.MAX_CUTOFF + 1}}, None),
+        ("run", {"backend": "rds", "parameters": {"gate": "not", "beam_amplitude": 0.0}}, None),
+        ("run", {"backend": "jones", "parameters": {"basis": "10", "elements": [
+            {"type": "waveplate", "delta": 1.0, "modes": [99]}]}}, None),
+        ("run", {"backend": "jones", "parameters": {"basis": "10", "elements": [
+            {"type": "pbs_swap", "mode_a": 1, "mode_b": 1}]}}, None),
+        ("run", {"backend": "jones", "parameters": {"basis": "10", "gates": [{"type": "not", "qubit": 5}]}}, None),
+        ("run", {"backend": "jones", "parameters": {"basis": "1" * 70}}, None),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -443,6 +451,12 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
         "sweep-range-overflows-rds",
         "sweep-range-overflows-stats",
         "sweep-range-overflows-spin",
+        "stats-cutoff-above-cap",
+        "rds-gate-beam-amplitude-zero",
+        "jones-mode-out-of-range",
+        "jones-pbs-swap-same-mode",
+        "jones-not-qubit-out-of-range",
+        "jones-basis-70-bits",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
@@ -458,6 +472,14 @@ def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+
+
+def test_stats_cutoff_cap_still_parses(tmp_path, capsys):
+    # distribution false: the cutoff is read but no recurrence runs
+    assert cli._parse_stats({"cutoff": cli.MAX_CUTOFF})[1]["cutoff"] == 10**6
+    cfg = write_config(tmp_path, "cap.json", {"backend": "stats", "parameters": {"cutoff": cli.MAX_CUTOFF}})
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -492,8 +514,19 @@ def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, p
         }),
         ("run", {"backend": "rds", "parameters": {"kappa_a": 1e200, "gate": "not"}}),
         ("run", {"backend": "rds", "parameters": {"beam_amplitude": 1e200, "gate": "cnot"}}),
+        # the bright levels are so small that their 1e-30 dark floors underflow to 0
+        ("run", {"backend": "rds", "parameters": {"gate": "not", "beam_amplitude": 1e-75}}),
+        ("run", {"backend": "rds", "parameters": {"gate": "cnot", "beam_amplitude": 1e-80}}),
     ],
-    ids=["run-kappa-a", "run-a1", "sweep-beam-amplitude", "gate-kappa-a", "gate-beam-amplitude"],
+    ids=[
+        "run-kappa-a",
+        "run-a1",
+        "sweep-beam-amplitude",
+        "gate-kappa-a",
+        "gate-beam-amplitude",
+        "gate-not-levels-underflow",
+        "gate-cnot-levels-underflow",
+    ],
 )
 def test_diverging_rds_integration_is_one_line_physics_error(tmp_path, capsys, recwarn, command, cfg):
     argv = [command, "--config", write_config(tmp_path, "diverge.json", cfg)]

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import itertools
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oqcsim import squeezed
 from oqcsim.squeezed import (
     CutoffError,
     SqueezedStateParams,
@@ -195,6 +197,59 @@ def test_large_displacement_past_vacuum_underflow(mag):
     mean, var = distribution_moments(fock_distribution(s, 4000))
     assert mean == pytest.approx(st.mean_n, rel=1e-8)
     assert var == pytest.approx(st.var_n, rel=1e-8)
+
+
+def sequential_fock_distribution(s, cutoff):
+    """The per-step recurrence that fock_distribution's coefficient tables replace.
+
+    Each step recomputes its two square roots and keeps one log scale per amplitude.
+    """
+    alpha = complex(s.alpha)
+    ch, sh = math.cosh(s.r), math.sinh(s.r)
+    phase = cmath.exp(1j * s.theta)
+    gamma = alpha * ch + alpha.conjugate() * phase * sh
+    log_psi0 = -0.5 * abs(alpha) ** 2 - 0.5 * alpha.conjugate() ** 2 * phase * math.tanh(s.r)
+    prev, psi, scale = 0.0, cmath.exp(1j * log_psi0.imag) / math.sqrt(ch), log_psi0.real
+    amplitudes, scales = [psi], [scale]
+    for n in range(cutoff):
+        prev, psi = psi, (gamma * psi - phase * sh * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
+        if abs(psi) > squeezed._RESCALE:
+            prev, psi, scale = prev / squeezed._RESCALE, psi / squeezed._RESCALE, scale + squeezed._LOG_RESCALE
+        amplitudes.append(psi)
+        scales.append(scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(amplitudes) ** 2 * np.exp(2.0 * np.array(scales))
+    tail = max(abs(1.0 - p.sum()), float(p[-1]))
+    if not tail <= 1e-10:
+        raise CutoffError(f"tail mass {tail:.3e} exceeds 1e-10 at cutoff {cutoff}")
+    return p
+
+
+def _bits_or_cutoff_error(fock, s, cutoff):
+    try:
+        return fock(s, cutoff).tobytes()
+    except CutoffError:
+        return CutoffError
+
+
+# |alpha| = 39 and 50 rescale; 4,096 and 4,097 sit on the edge of a coefficient
+# block; |alpha| = 45 at 10,000 rescales across three blocks
+SEQUENTIAL_CASES = [
+    *[(s, cutoff) for cutoff in (1, 2, 60, 400) for s in GRID],
+    *[(SqueezedStateParams(mag * np.exp(0.3j), 0.4, 1.0), 4000) for mag in (39.0, 50.0)],
+    *[(SqueezedStateParams(3.0 * np.exp(0.7j), 0.75, 2.0), cutoff) for cutoff in (4096, 4097)],
+    *[(SqueezedStateParams(45.0 * np.exp(0.3j), 0.4, 1.0), cutoff) for cutoff in (4096, 4097, 10000)],
+]
+
+
+def test_fock_distribution_is_bitwise_the_sequential_recurrence():
+    assert squeezed._BLOCK == 4096  # the block-edge cases above assume it
+    raised = set()
+    for s, cutoff in SEQUENTIAL_CASES:
+        want = _bits_or_cutoff_error(sequential_fock_distribution, s, cutoff)
+        assert _bits_or_cutoff_error(fock_distribution, s, cutoff) == want, (s, cutoff)
+        raised.add(want is CutoffError)
+    assert raised == {False, True}  # both outcomes occur among the cases
 
 
 def test_fock_distribution_independent_of_global_random_state():
