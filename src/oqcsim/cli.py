@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_PHYSICS = 1
 EXIT_CONFIG = 2
 
-BACKENDS = ("spin", "jones", "rds", "stats")
-
 # Cap on reported level-separation margins so JSON output stays finite.
 MARGIN_CAP = 1e30
 # Largest spin "shots": the multinomial sampler counts in int64.
@@ -137,13 +135,6 @@ _SWEEP = {
     "stop": (_number, _REQUIRED),
     "count": (_integer(2), _REQUIRED),
 }
-_CONFIG = {
-    "backend": (_choice(*BACKENDS), _REQUIRED),
-    "parameters": (_object, {}),
-    "output": (_section(_OUTPUT, "output"), None),
-    "seed": (_integer(0), 0),
-    "sweep": (_section(_SWEEP, "sweep"), None),
-}
 
 
 def load_config(path):
@@ -236,23 +227,17 @@ def _spin_fidelity(q, gate):
     return u, spin.gate_fidelity(permutation_matrix(perm), u)
 
 
-def run_spin(params, seed):
-    q = _parse_spin(params)
+def run_spin(q, seed):
     state = spin.SpinState.basis(q["initial"])
     if q["gate"] is not None:
         state = spin.apply_sequence(state, _spin_gate(q, q["gate"])[0], q["j12"])
     columns = ["basis", "re", "im", "probability"]
-    counts = None
+    rows = [[format(i, "02b"), a.real, a.imag, abs(a) ** 2] for i, a in enumerate(state.amplitudes)]
     if q["shots"] > 0:
         counts = spin.measure(state, seed, q["shots"])
         columns.append("counts")
-    rows = []
-    for i, a in enumerate(state.amplitudes):
-        bits = format(i, "02b")
-        row = [bits, a.real, a.imag, abs(a) ** 2]
-        if counts is not None:
-            row.append(counts.get(bits, 0))
-        rows.append(row)
+        for row in rows:
+            row.append(counts.get(row[0], 0))
     return {"columns": columns, "rows": rows}
 
 
@@ -320,8 +305,8 @@ def _parse_jones(params):
     return reg, elements
 
 
-def run_jones(params, seed):
-    reg, elements = _parse_jones(params)
+def run_jones(parsed, seed):
+    reg, elements = parsed
     reg = jones.apply_network(reg, elements)
     rows = [list(r) for r in jones.register_csv_rows(reg)]
     return {"columns": ["mode", "polarization", "re", "im", "power"], "rows": rows}
@@ -385,8 +370,8 @@ def _parse_rds(params):
     return p, grid, rds.FieldTriple(q["a1"], q["a2"], q["a3"]), q
 
 
-def run_rds(params, seed):
-    p, grid, fields, q = parsed = _parse_rds(params)
+def run_rds(parsed, seed):
+    p, grid, fields, q = parsed
     if q["gate"] is None:
         traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
@@ -429,16 +414,13 @@ def _moments(s):
     return [st.mean_n, st.var_n, st.mandel_q, st.g2_zero]
 
 
-def run_stats(params, seed):
-    s, q = _parse_stats(params)
+def run_stats(parsed, seed):
+    s, q = parsed
     if q["distribution"]:
         p = fock_distribution(s, q["cutoff"])
         return {"columns": ["n", "p"], "rows": [[int(n), float(x)] for n, x in enumerate(p)]}
     row = [s.alpha.real, s.alpha.imag, s.r, s.theta, *_moments(s)]
     return {"columns": ["alpha_re", "alpha_im", "r", "theta", *_MOMENTS], "rows": [row]}
-
-
-_RUNNERS = {"spin": run_spin, "jones": run_jones, "rds": run_rds, "stats": run_stats}
 
 
 # ---------------------------------------------------------------- truth tables
@@ -490,19 +472,16 @@ def _rds_gates(parsed):
     return cal, {"NOT": gate(cal.separation_sh), "CNOT": gate(cal.separation_th)}
 
 
-_GATE_BUILDERS = {"spin": _spin_gates, "jones": _jones_gates, "rds": lambda: _rds_gates(_parse_rds({}))[1]}
-
-
-def verify_truth_tables(backends=("spin", "jones", "rds")):
+def verify_truth_tables(backends):
     """One NOT and one CNOT report per backend, all against the same tables."""
     for b in backends:
-        if b not in _GATE_BUILDERS:
+        if b not in _GATE_BACKENDS:
             raise ConfigError(f'unknown truth-table backend "{b}"')
     reports = []
     tables = (("NOT", NOT_TABLE), ("CNOT", CNOT_TABLE))
     for b in backends:
         try:
-            gates = _GATE_BUILDERS[b]()
+            gates = _GATE_BACKENDS[b]()
             reports.extend([TruthTableReport(name, b, _gate_rows(gates[name], table)) for name, table in tables])
         except Exception as exc:  # isolate failures per backend
             reports.append(TruthTableReport("NOT+CNOT", b, rows=[], error=str(exc)))
@@ -548,22 +527,14 @@ def _spin_sweep(parsed):
     return ["fidelity"], [[_spin_fidelity(q, q["gate"] or "cnot")[1]] for q in parsed]
 
 
-# backend -> (row parser, sweep parameters, evaluator of the parsed rows: (columns, rows))
-_SWEEPS = {
-    "rds": (_parse_rds, ("length", "dk_a", "kappa_a", "beam_amplitude"), _rds_sweep),
-    "stats": (_parse_stats, ("r", "theta", "alpha_re", "alpha_im"), _stats_sweep),
-    "spin": (_parse_spin, ("j12",), _spin_sweep),
-}
-
-
 def run_sweep(cfg):
     sweep = cfg["sweep"]
     if sweep is None:
         raise ConfigError("sweep command requires a sweep section in the config")
     backend, name = cfg["backend"], sweep["parameter"]
-    if backend not in _SWEEPS:
+    parse, _, names, evaluate, _ = BACKENDS[backend]
+    if not names:
         raise ConfigError(f'backend "{backend}" has no sweepable parameters')
-    parse, names, evaluate = _SWEEPS[backend]
     if name not in names:
         raise ConfigError(f'unknown sweep parameter "{name}" for backend {backend}')
     if not math.isfinite(sweep["stop"] - sweep["start"]):
@@ -572,6 +543,32 @@ def run_sweep(cfg):
     parsed = [parse(_swept(cfg["parameters"], name, value)) for value in values]
     columns, rows = evaluate(parsed)
     return {"columns": ["value", *columns], "rows": [[value, *row] for value, row in zip(values, rows)]}
+
+
+# ---------------------------------------------------------------- the backend table
+
+# backend -> (parser of its parameters, runner of the parsed parameters and the
+# seed, sweep parameters, evaluator of the parsed sweep rows: (columns, rows),
+# builder of its truth-table gates, or None).  The truthtable command
+# defaults to the backends with gates, in this order.
+BACKENDS = {
+    "spin": (_parse_spin, run_spin, ("j12",), _spin_sweep, _spin_gates),
+    "jones": (_parse_jones, run_jones, (), None, _jones_gates),
+    "rds": (
+        _parse_rds, run_rds, ("length", "dk_a", "kappa_a", "beam_amplitude"), _rds_sweep,
+        lambda: _rds_gates(_parse_rds({}))[1],
+    ),
+    "stats": (_parse_stats, run_stats, ("r", "theta", "alpha_re", "alpha_im"), _stats_sweep, None),
+}
+_GATE_BACKENDS = {b: gates for b, (_, _, _, _, gates) in BACKENDS.items() if gates is not None}
+
+_CONFIG = {
+    "backend": (_choice(*BACKENDS), _REQUIRED),
+    "parameters": (_object, {}),
+    "output": (_section(_OUTPUT, "output"), None),
+    "seed": (_integer(0), 0),
+    "sweep": (_section(_SWEEP, "sweep"), None),
+}
 
 
 # ---------------------------------------------------------------- commands
@@ -585,8 +582,9 @@ def cmd_run(args):
     elif cfg["sweep"] is not None:
         raise ConfigError("config contains a sweep section; use the sweep command")
     else:
-        seed = cfg["seed"] if args.seed is None else args.seed
-        payload = _RUNNERS[cfg["backend"]](cfg["parameters"], seed)
+        parse, run, _, _, _ = BACKENDS[cfg["backend"]]
+        seed = cfg["seed"] if args.seed is None else _integer(0)(args.seed, "--seed")
+        payload = run(parse(cfg["parameters"]), seed)
     output = cfg["output"] or _parse({}, _OUTPUT, "output")
     write_payload(payload, output["path"] if args.out is None else args.out, output["format"])
     return EXIT_OK
@@ -633,7 +631,7 @@ def build_parser():
     p_run.set_defaults(func=cmd_run)
 
     p_tt = sub.add_parser("truthtable", help="verify NOT/CNOT tables across backends")
-    p_tt.add_argument("--backends", default="spin,jones,rds")
+    p_tt.add_argument("--backends", default=",".join(_GATE_BACKENDS))
     p_tt.add_argument("--out", default=None)
     p_tt.set_defaults(func=cmd_truthtable)
 

@@ -32,9 +32,10 @@ Logic gates use phase coding: a bit b enters as an amplitude factor
 (-1)**b, interfered with an equal zero-phase bias beam, and the gate
 output is a threshold comparison on the second-harmonic (NOT) or
 third-harmonic (CNOT target) output power.  All logic inputs make only
-three distinct pumps (2A, 0, -2A), which calibration propagates in one
-kernel call and keeps as the logic levels; `calibrated_gate` reads every
-gate output from those levels.
+three distinct pumps (2A, 0, -2A).  Since (a1, a2, a3) -> (-a1, a2, -a3)
+maps solutions to solutions exactly in floating point, calibration
+propagates 2A alone in one kernel call and keeps the levels of all three;
+`calibrated_gate` reads every gate output from those levels.
 """
 
 from __future__ import annotations
@@ -418,7 +419,9 @@ def calibrate_thresholds(
     """Simulate all logic inputs and place thresholds between the levels.
 
     The logic inputs make three distinct pumps (2A, 0 and -2A for beam
-    amplitude A), propagated together in one kernel call.  Each threshold
+    amplitude A).  Only 2A is propagated: (a1, a2, a3) -> (-a1, a2, -a3)
+    maps solutions to solutions exactly in floating point, so -2A exits
+    with bitwise the powers of 2A, and 0 stays exactly 0.  Each threshold
     sits at the geometric mean of the bright and dark output-power levels
     of its channel (dark levels floored, since perfect destructive
     interference yields exactly zero power).  Raises CalibrationError when
@@ -432,15 +435,13 @@ def calibrate_thresholds(
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
 
-    # the pumps of inputs with 0, 1 and 2 one-bits (a NOT bit's bias beam is a 0)
-    pumps = (2.0 * beam_amplitude, 0.0, -2.0 * beam_amplitude)
-    cases = [(FieldTriple(a, 0.0, 0.0), grid, params) for a in pumps]
-    powers = np.abs(propagate_many(cases, steps_per_domain)[0]) ** 2
-    sh, th = (tuple(float(x) for x in p) for p in powers[1:])
+    # inputs with 0, 1 and 2 one-bits (a NOT bit's bias beam is a 0) pump 2A, 0 and -2A
+    final = propagate_many([(FieldTriple(2.0 * beam_amplitude, 0.0, 0.0), grid, params)], steps_per_domain)[0]
+    p2, p3 = (float(x) for x in np.abs(final[1:, 0]) ** 2)
+    sh, th = (p2, 0.0, p2), (p3, 0.0, p3)
 
     sh_high, sh_low = sh[0], sh[1]
-    th_high = min(th[0], th[2])
-    th_low = th[1]
+    th_high, th_low = th[0], th[1]
 
     def separation(high, low):
         if high <= 0.0:

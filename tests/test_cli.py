@@ -212,6 +212,61 @@ def test_truthtable_unknown_backend():
     assert cli.main(["truthtable", "--backends", "spin,bogus"]) == 2
 
 
+def test_truthtable_defaults_to_every_backend_with_gates(capsys):
+    assert cli.main(["truthtable"]) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.endswith(": PASS")]
+    assert verdicts == [f"[{b}] {gate}: PASS" for b in ("spin", "jones", "rds") for gate in ("NOT", "CNOT")]
+
+
+@pytest.mark.parametrize(
+    "argv,cfg,line",
+    [
+        (
+            ["sweep"],
+            {"backend": "jones", "parameters": {}, "sweep": {"parameter": "theta", "start": 0, "stop": 1, "count": 3}},
+            'backend "jones" has no sweepable parameters',
+        ),
+        (
+            ["sweep"],
+            {"backend": "rds", "parameters": {}, "sweep": {"parameter": "bogus", "start": 0, "stop": 1, "count": 3}},
+            'unknown sweep parameter "bogus" for backend rds',
+        ),
+        (["run"], {"backend": "bogus"}, 'key "backend" in config must be one of "spin", "jones", "rds", "stats"'),
+        (["sweep"], {"backend": "stats"}, "sweep command requires a sweep section in the config"),
+        (
+            ["run"],
+            {"backend": "stats", "sweep": {"parameter": "r", "start": 0, "stop": 1, "count": 3}},
+            "config contains a sweep section; use the sweep command",
+        ),
+        (["truthtable", "--backends", "stats"], None, 'unknown truth-table backend "stats"'),
+        (["truthtable", "--backends", "spin,bogus"], None, 'unknown truth-table backend "bogus"'),
+        (["truthtable", "--backends", " , "], None, "no backends requested"),
+    ],
+    ids=[
+        "jones-not-sweepable",
+        "unknown-sweep-parameter",
+        "unknown-backend",
+        "sweep-without-section",
+        "run-with-sweep-section",
+        "truthtable-backend-without-gates",
+        "truthtable-unknown-backend",
+        "truthtable-no-backends",
+    ],
+)
+def test_dispatch_errors_are_exact_config_error_lines(tmp_path, capsys, argv, cfg, line):
+    if cfg is not None:
+        argv = argv + ["--config", write_config(tmp_path, "dispatch.json", cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+@pytest.mark.parametrize("params", [{"shots": 10}, {}], ids=["shots", "no-shots"])
+def test_negative_seed_override_is_config_error(tmp_path, capsys, params):
+    cfg = write_config(tmp_path, "spin.json", {"backend": "spin", "parameters": params})
+    assert cli.main(["run", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "config error: --seed must be an integer >= 0\n")
+
+
 def test_sweep_length_monotone_efficiency(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = write_config(
@@ -594,7 +649,7 @@ def kernel_widths(monkeypatch):
 def test_rds_gate_run_is_one_kernel_call(tmp_path, capsys, kernel_widths, gate):
     cfg = write_config(tmp_path, "gate.json", {"backend": "rds", "parameters": {"gate": gate}})
     assert cli.main(["run", "--config", cfg]) == 0
-    assert kernel_widths == [3]
+    assert kernel_widths == [1]
 
 
 def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
@@ -616,7 +671,7 @@ def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsy
 
 def test_rds_truth_table_is_one_kernel_call(capsys, kernel_widths):
     assert cli.main(["truthtable", "--backends", "rds"]) == 0
-    assert kernel_widths == [3]
+    assert kernel_widths == [1]
 
 
 @pytest.mark.parametrize(

@@ -463,6 +463,30 @@ def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
     assert cal.sh_levels[1] == 0.0 and cal.th_levels[1] == 0.0
 
 
+@pytest.mark.parametrize(
+    "params,grid,steps,amplitude",
+    [
+        (rds.default_params(), rds.default_grid(), rds.DEFAULT_STEPS_PER_DOMAIN, rds.DEFAULT_BEAM_AMPLITUDE),
+        # a partial last domain and an odd step count
+        (
+            rds.CoupledModeParams(kappa_a=2.3, kappa_b=0.4, dk_a=4.1e3, dk_b=7.7e3),
+            rds.make_periodic_grid(0.0123, rds.qpm_domain_length(4.1e3)),
+            7,
+            0.37,
+        ),
+        (rds.CoupledModeParams(kappa_a=0.2, kappa_b=1.7, dk_a=2.5e3, dk_b=9e3), single_domain(2e-3), 33, 0.05),
+    ],
+    ids=["default", "partial-grid-odd-steps", "one-long-domain"],
+)
+def test_one_pump_levels_are_bitwise_the_three_pump_batch(params, grid, steps, amplitude):
+    # the reference: all three pumps 2A, 0 and -2A propagated as one batch
+    cases = [(rds.FieldTriple(a, 0.0, 0.0), grid, params) for a in (2 * amplitude, 0.0, -2 * amplitude)]
+    powers = np.abs(rds.propagate_many(cases, steps)[0]) ** 2
+    cal = rds.calibrate_thresholds(grid, params, amplitude, steps)
+    assert np.array(cal.sh_levels).tobytes() == powers[1].tobytes()
+    assert np.array(cal.th_levels).tobytes() == powers[2].tobytes()
+
+
 # ---------------------------------------------------------------- steps in blocks
 
 # one unpoled domain of four coherence lengths, far more steps than one block
