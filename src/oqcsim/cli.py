@@ -375,7 +375,7 @@ def run_rds(parsed, seed):
     if q["gate"] is None:
         traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
-        return {"columns": columns, "rows": [list(r) for r in traj.csv_rows(q["sample_stride"])]}
+        return {"columns": columns, "rows": traj.csv_rows(q["sample_stride"])}
     cal, gates = _rds_gates(parsed)
     if q["gate"] == "not":
         columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2

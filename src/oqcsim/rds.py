@@ -22,8 +22,11 @@ three phase factors being their conjugates (2 exps per point), and the
 photon flux N of the whole block is checked at once.  It keeps a
 running max of |N - N0| per column over every step (the Manley-Rowe
 drift), and writes a (K, 3, B) trajectory only when asked.  A non-finite
-exit field or flux raises DivergenceError.  `propagate` is the batch of
-one, with its trajectory.
+exit field or flux raises DivergenceError.  The steps themselves have two
+bodies, chosen by the batch width: up to _NARROW columns they run column
+by column on Python complex scalars, where a numpy step would cost its 34
+calls' dispatch; wider batches run the numpy step on all columns at once.
+`propagate` is the batch of one, with its trajectory.
 `propagate_many` pads shorter grids with zero-length domains and makes
 one kernel call for any list of cases, so every sweep is a single
 integration.
@@ -150,17 +153,12 @@ class Trajectory:
         return p[:, 0] + 2 * p[:, 1] + 3 * p[:, 2]
 
     def csv_rows(self, stride=1):
-        rows = []
-        n = self.manley_rowe()
+        """Rows [z, re a1, im a1, re a2, im a2, re a3, im a3, N] of every stride-th sample and the last."""
         idx = list(range(0, len(self.z), stride))
         if idx[-1] != len(self.z) - 1:
             idx.append(len(self.z) - 1)
-        for i in idx:
-            a1, a2, a3 = self.fields[i]
-            rows.append(
-                (self.z[i], a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag, n[i])
-            )
-        return rows
+        parts = np.ascontiguousarray(self.fields).view(float)  # re a1, im a1, re a2, ...
+        return np.column_stack((self.z, parts, self.manley_rowe()))[idx].tolist()
 
 
 def qpm_domain_length(dk: float) -> float:
@@ -197,6 +195,52 @@ _FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
 _LEGS = np.array([0, 1, 0, 1, 1])
 # Steps per block: one phase table and one flux check each.
 _BLOCK = 64
+# The widest batch whose steps run column by column on Python scalars:
+# up to here numpy's per-call dispatch costs more than the arithmetic.
+_NARROW = 6
+
+
+def _column_steps(fields, h, start, coefficients):
+    """One column's RK4 steps through a block, on Python complex scalars.
+
+    fields is the column's [a1, a2, a3] and h its Python float step.
+    start holds the five terms' coupling coefficients at the first step's
+    start, coefficients those at every midpoint and step end, interleaved.
+    The expressions and their order are those of rk4's numpy step body.
+    Uses no abs() or **, which raise OverflowError on huge finite
+    values: a diverging column turns inf or nan, as in numpy.  Returns the
+    fields after each step.
+    """
+    x1, x2, x3 = fields
+    half, sixth = 0.5 * h, h / 6.0
+    p0, q0, r0, s0, t0 = start
+    rows = []
+    for (p1, q1, r1, s1, t1), end in zip(coefficients[0::2], coefficients[1::2]):
+        b1 = x1.conjugate()
+        k11 = b1 * x2 * p0 + x2.conjugate() * x3 * q0
+        k12 = x1 * x1 * r0 + b1 * x3 * s0
+        k13 = x1 * x2 * t0
+        y1, y2, y3 = half * k11 + x1, half * k12 + x2, half * k13 + x3
+        b1 = y1.conjugate()
+        k21 = b1 * y2 * p1 + y2.conjugate() * y3 * q1
+        k22 = y1 * y1 * r1 + b1 * y3 * s1
+        k23 = y1 * y2 * t1
+        y1, y2, y3 = half * k21 + x1, half * k22 + x2, half * k23 + x3
+        b1 = y1.conjugate()
+        k31 = b1 * y2 * p1 + y2.conjugate() * y3 * q1
+        k32 = y1 * y1 * r1 + b1 * y3 * s1
+        k33 = y1 * y2 * t1
+        y1, y2, y3 = h * k31 + x1, h * k32 + x2, h * k33 + x3
+        p0, q0, r0, s0, t0 = end
+        b1 = y1.conjugate()
+        k41 = b1 * y2 * p0 + y2.conjugate() * y3 * q0
+        k42 = y1 * y1 * r0 + b1 * y3 * s0
+        k43 = y1 * y2 * t0
+        x1 += (2.0 * (k21 + k31) + k11 + k41) * sixth
+        x2 += (2.0 * (k22 + k32) + k12 + k42) * sixth
+        x3 += (2.0 * (k23 + k33) + k13 + k43) * sixth
+        rows.append((x1, x2, x3))
+    return rows
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run raises at the end
@@ -218,8 +262,17 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     positions are running sums from the current z, bitwise those of
     z += h.  Each step writes its fields into a block buffer, and the
     photon flux N of the whole block is then checked for the Manley-Rowe
-    drift, so every step counts.  The stages run in buffers allocated once
-    per call.
+    drift, so every step counts.
+
+    A batch of at most _NARROW columns steps each column through the block
+    on Python scalars (_column_steps), reading its phase-and-coupling table
+    as a list.  Wider batches step all columns at once with numpy ufuncs
+    into buffers allocated once per call.  At width 1 a step costs about
+    6 us on scalars against 30-50 us of numpy dispatch, and the numpy step
+    wins from about 8 columns up (_NARROW is the measured crossover).  The
+    two bodies evaluate the same expressions in the same order, but numpy's
+    SIMD complex multiply fuses a product into an add, so they agree to
+    about 1e-16 relative, not bitwise.
 
     Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
     drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
@@ -235,7 +288,7 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     n = int(steps_per_domain)
     a = np.array(fields, dtype=complex)
     width = a.shape[1]
-    h_all = np.asarray(lengths, dtype=float) / n
+    h_all = np.broadcast_to(np.asarray(lengths, dtype=float) / n, (len(lengths), width))
     kappa_a, kappa_b, dk_a, dk_b = (
         np.broadcast_to(np.asarray(x, dtype=float), width) for x in (kappa_a, kappa_b, dk_a, dk_b)
     )
@@ -293,25 +346,31 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
             e_end = e[-1]
             ce = c * e
             rows = samples[k + 1 : k + 1 + m] if trajectory else block_fields[:m]
-            for row, c_start, c_mid, c_end in zip(rows, (c_first, *ce[1::2]), ce[0::2], ce[1::2]):
-                stage[...] = a
-                derivs(c_start, k1)
-                np.multiply(half, k1, out=stage)
-                stage += a
-                derivs(c_mid, k2)
-                np.multiply(half, k2, out=stage)
-                stage += a
-                derivs(c_mid, k3)
-                np.multiply(h, k3, out=stage)
-                stage += a
-                derivs(c_end, k4)
-                k2 += k3
-                k2 *= 2.0
-                k2 += k1
-                k2 += k4
-                k2 *= sixth
-                a += k2
-                row[...] = a
+            if width <= _NARROW:
+                columns = zip(h.tolist(), c_first.T.tolist(), ce.transpose(2, 0, 1).tolist())
+                for j, (step, first, coefficients) in enumerate(columns):
+                    rows[:, :, j] = column = _column_steps(a[:, j].tolist(), step, first, coefficients)
+                    a[:, j] = column[-1]
+            else:
+                for row, c_start, c_mid, c_end in zip(rows, (c_first, *ce[1::2]), ce[0::2], ce[1::2]):
+                    stage[...] = a
+                    derivs(c_start, k1)
+                    np.multiply(half, k1, out=stage)
+                    stage += a
+                    derivs(c_mid, k2)
+                    np.multiply(half, k2, out=stage)
+                    stage += a
+                    derivs(c_mid, k3)
+                    np.multiply(h, k3, out=stage)
+                    stage += a
+                    derivs(c_end, k4)
+                    k2 += k3
+                    k2 *= 2.0
+                    k2 += k1
+                    k2 += k4
+                    k2 *= sixth
+                    a += k2
+                    row[...] = a
             if trajectory:
                 zs[k + 1 : k + 1 + m] = z[1:]
             k += m

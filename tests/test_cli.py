@@ -562,6 +562,8 @@ def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, p
     [
         ("run", {"backend": "rds", "parameters": {"kappa_a": 1e200}}),
         ("run", {"backend": "rds", "parameters": {"a1": [1e200, 0.0]}}),
+        # a1 is finite, but |a1|^2 is not
+        ("run", {"backend": "rds", "parameters": {"a1": [1e155, 0.0]}}),
         ("sweep", {
             "backend": "rds",
             "parameters": {"kappa_a": 1e200},
@@ -576,6 +578,7 @@ def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, p
     ids=[
         "run-kappa-a",
         "run-a1",
+        "run-a1-square-overflows",
         "sweep-beam-amplitude",
         "gate-kappa-a",
         "gate-beam-amplitude",

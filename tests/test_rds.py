@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oqcsim import rds
+from oqcsim import cli, rds
 from oqcsim.rds import CoupledModeParams, DomainGrid, FieldTriple, Trajectory
 
 
@@ -75,11 +75,20 @@ def single_domain(length):
     return rds.DomainGrid(np.array([length]), np.array([1.0]))
 
 
+# A batch this wide takes the numpy step body, a narrower one the scalar body.
+WIDE = rds._NARROW + 1
+
+
 def test_zero_fields_stay_exactly_zero():
     p = rds.default_params()
     grid = rds.default_grid(p, n_domains=5)
     traj = rds.propagate(rds.FieldTriple(0.0, 0.0, 0.0), grid, p)
     assert np.all(traj.fields == 0.0)
+    final, drift, _, samples = rds.rk4(
+        np.zeros((3, WIDE)), grid.signs[:, None], grid.lengths[:, None], rds.DEFAULT_STEPS_PER_DOMAIN,
+        p.kappa_a, p.kappa_b, p.dk_a, p.dk_b, trajectory=True,
+    )
+    assert np.all(samples == 0.0) and np.all(final == 0.0) and np.all(drift == 0.0)
 
 
 def test_undepleted_oracle_phase_matched():
@@ -338,15 +347,22 @@ def test_cnot_needs_sfg_coupling(calibrated):
         rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
 
 
-@pytest.mark.parametrize("kappa_a,a1", [(1e200, 0.1), (1.0, 1e200)], ids=["kappa_a", "a1"])
+@pytest.mark.parametrize(
+    "kappa_a,a1",
+    # a1 = 1e155 is finite, but |a1|^2 is not: Python's abs() and ** raise OverflowError there
+    [(1e200, 0.1), (1.0, 1e200), (1.0, 1e155)],
+    ids=["kappa_a", "a1", "a1-square-overflows"],
+)
 def test_diverging_integration_raises(recwarn, kappa_a, a1):
     p = rds.CoupledModeParams(kappa_a, 1.0, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
     grid = rds.default_grid(p, n_domains=5)
     with pytest.raises(rds.DivergenceError):
         rds.propagate(rds.FieldTriple(a1, 0.0, 0.0), grid, p)
     healthy = (rds.FieldTriple(0.1, 0.0, 0.0), grid, rds.default_params())
-    with pytest.raises(rds.DivergenceError):
-        rds.propagate_many([healthy, (rds.FieldTriple(a1, 0.0, 0.0), grid, p)])
+    diverging = (rds.FieldTriple(a1, 0.0, 0.0), grid, p)
+    for batch in ([healthy, diverging], [healthy] * (WIDE - 1) + [diverging]):
+        with pytest.raises(rds.DivergenceError):
+            rds.propagate_many(batch)
     assert len(recwarn) == 0
 
 
@@ -357,6 +373,29 @@ def test_trajectory_csv_rows(calibrated):
     assert rows[0][0] == 0.0
     assert rows[-1][0] == pytest.approx(grid.total_length, rel=1e-12)
     assert len(rows[0]) == 8
+
+
+def reference_csv_rows(traj, stride):
+    """The row-by-row construction of Trajectory.csv_rows, kept as its reference."""
+    n = traj.manley_rowe()
+    idx = list(range(0, len(traj.z), stride))
+    if idx[-1] != len(traj.z) - 1:
+        idx.append(len(traj.z) - 1)
+    rows = []
+    for i in idx:
+        a1, a2, a3 = traj.fields[i]
+        rows.append([traj.z[i], a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag, n[i]])
+    return rows
+
+
+@pytest.mark.parametrize("stride", [1, 40])
+def test_csv_rows_output_is_byte_identical_to_row_by_row(calibrated, stride):
+    p, grid, _ = calibrated
+    traj = rds.propagate(rds.FieldTriple(0.2, 0, 0), grid, p)
+    assert len(traj.z) == 1601
+    for payload in (cli.payload_csv, cli.payload_json):
+        got = payload({"columns": ["z"], "rows": traj.csv_rows(stride)})
+        assert got == payload({"columns": ["z"], "rows": reference_csv_rows(traj, stride)})
 
 
 # ---------------------------------------------------------------- kernel vs scalar reference
@@ -411,8 +450,11 @@ def assert_matches_reference(cases, final, drift, steps_per_domain=rds.DEFAULT_S
         assert drift[j] == pytest.approx(reference_drift(ref), abs=DRIFT_TOL), j
 
 
+SWEEP_KINDS = ["beam_amplitude", "kappa_a", "dk_a_qpm", "dk_a_single_domain"]
+
+
 @pytest.mark.parametrize("width", [1, 3, 81])
-@pytest.mark.parametrize("kind", ["beam_amplitude", "kappa_a", "dk_a_qpm", "dk_a_single_domain"])
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
 def test_sweep_batch_matches_scalar_reference(kind, width):
     cases = sweep_cases(kind, width)
     final, drift = rds.propagate_many(cases)
@@ -433,6 +475,47 @@ def test_mixed_schedules_keep_case_order():
     cases = [qpm[0], single[0], periodic[0], qpm[1], single[1], periodic[1], qpm[2], single[2]]
     final, drift = rds.propagate_many(cases)
     assert_matches_reference(cases, final, drift)
+
+
+def test_wide_batch_matches_one_case_at_a_time(monkeypatch):
+    # every sweep kind and periodic grids of 10, 12 and 12 domains, the last
+    # one partial: one wide call takes the numpy step body, one case at a
+    # time the scalar body, and both must match the reference
+    p = rds.default_params()
+    periodic = [
+        (rds.FieldTriple(0.2, 0.0, 0.0), rds.make_periodic_grid(length, 5e-4), p) for length in (5e-3, 5.7e-3, 6e-3)
+    ]
+    cases = [case for kind in SWEEP_KINDS for case in sweep_cases(kind, 3)] + periodic
+    assert len(cases) > rds._NARROW
+    kernel = rds.rk4
+    calls = []
+
+    def with_trajectory(*args):
+        calls.append(kernel(*args, trajectory=True))
+        return calls[-1]
+
+    def run(batch):
+        rds.propagate_many(batch)
+        return calls[-1]
+
+    monkeypatch.setattr(rds, "rk4", with_trajectory)
+    wide_final, wide_drift, wide_z, wide_samples = run(cases)
+    for j, (fields, grid, params) in enumerate(cases):
+        final, drift, z, samples = run([(fields, grid, params)])
+        ref = reference_propagate(fields, grid, params, rds.DEFAULT_STEPS_PER_DOMAIN)
+        k = len(ref.z)
+        scale = max(abs(fields.a1), abs(fields.a2), abs(fields.a3))
+        for exit_fields in (final[:, 0], ref.fields[-1]):
+            assert np.max(np.abs(wide_final[:, j] - exit_fields)) <= 1e-12 * scale, j
+        assert np.max(np.abs(final[:, 0] - ref.fields[-1])) <= 1e-12 * scale, j
+        for d in (drift[0], reference_drift(ref)):
+            assert wide_drift[j] == pytest.approx(d, abs=DRIFT_TOL), j
+        assert drift[0] == pytest.approx(reference_drift(ref), abs=DRIFT_TOL), j
+        # the padding domains leave z where the grid ends
+        assert np.array_equal(z[:, 0], ref.z) and np.array_equal(wide_z[:k, j], ref.z), j
+        assert np.all(wide_z[k:, j] == ref.z[-1]), j
+        assert np.max(np.abs(wide_samples[:k, :, j] - ref.fields)) <= 1e-12 * scale, j
+        assert np.max(np.abs(samples[:, :, 0] - ref.fields)) <= 1e-12 * scale, j
 
 
 def test_propagate_matches_scalar_reference_trajectory():
@@ -501,19 +584,24 @@ def long_domain_cases():
 
 def test_long_domain_blocks_match_scalar_reference():
     cases = long_domain_cases()
-    final, drift = rds.propagate_many(cases, 10_000)
-    assert_matches_reference(cases, final, drift, 10_000)
+    refs = [reference_propagate(*case, 10_000) for case in cases]
+    # the narrow batch and a wide one of the same cases, repeated
+    for width in (len(cases), WIDE):
+        final, drift = rds.propagate_many([cases[j % len(cases)] for j in range(width)], 10_000)
+        for j in range(width):
+            (fields, _, _), ref = cases[j % len(cases)], refs[j % len(cases)]
+            assert np.max(np.abs(final[:, j] - ref.fields[-1])) <= 1e-12 * abs(fields.a1), (width, j)
+            assert drift[j] == pytest.approx(reference_drift(ref), abs=DRIFT_TOL), (width, j)
     # the positions of every block continue z += h bit for bit
     fields, grid, p = cases[0]
     traj = rds.propagate(fields, grid, p, 10_000)
-    ref = reference_propagate(fields, grid, p, 10_000)
-    assert traj.z.shape == (10_001,) and np.array_equal(traj.z, ref.z)
-    assert np.max(np.abs(traj.fields - ref.fields)) <= 1e-12 * 0.2
+    assert traj.z.shape == (10_001,) and np.array_equal(traj.z, refs[0].z)
+    assert np.max(np.abs(traj.fields - refs[0].fields)) <= 1e-12 * 0.2
 
 
 def test_kernel_memory_does_not_grow_with_domain_steps():
-    def peak(n_steps):
-        cases = long_domain_cases()
+    def peak(n_steps, width):
+        cases = (long_domain_cases() * width)[:width]
         tracemalloc.start()
         try:
             rds.propagate_many(cases, n_steps)
@@ -522,5 +610,6 @@ def test_kernel_memory_does_not_grow_with_domain_steps():
             tracemalloc.stop()
 
     # a kernel that kept every step's (3, 2) complex fields would grow by
-    # 3,000 steps x 96 B = 288,000 B, 4.4 times the bound
-    assert abs(peak(4_000) - peak(1_000)) < 64 * 1024
+    # 3,000 steps x 96 B = 288,000 B, 4.4 times the bound; wider ones by more
+    for width in (2, WIDE):
+        assert abs(peak(4_000, width) - peak(1_000, width)) < 64 * 1024, width
