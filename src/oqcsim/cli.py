@@ -48,6 +48,10 @@ class ConfigError(Exception):
     pass
 
 
+# Failures of valid configs; any other exception is a bug and propagates.
+_PHYSICS_ERRORS = (rds.CalibrationError, rds.DivergenceError, CutoffError, spin.GateCompilationError)
+
+
 # ---------------------------------------------------------------- config
 
 # Default of a key that must be given.
@@ -112,6 +116,7 @@ _list = _check(lambda v: isinstance(v, list), "a list")
 _object = _check(lambda v: isinstance(v, dict), "an object")
 _bits = _check(_is_bits, "a nonempty bit string")
 _finite = _check(_is_real, "a finite number")
+_positive = _check(lambda v: _is_real(v) and v > 0, "a positive number")
 
 
 def _number(v, what):
@@ -209,7 +214,10 @@ _SPIN = {
 
 
 def _parse_spin(params):
-    return _parse(params, _SPIN, "spin parameters")
+    q = _parse(params, _SPIN, "spin parameters")
+    if q["gate"] != "not" and q["control"] == q["target"]:  # a sweep without a gate runs the cnot
+        raise ConfigError("spin parameters: cnot control and target must differ")
+    return q
 
 
 def _spin_gate(q, gate):
@@ -291,17 +299,19 @@ def _build(entries, kinds, context, *args):
 def _parse_jones(params):
     ctx = "jones parameters"
     q = _parse(params, _JONES, ctx)
-    amps = q["input"]
-    if amps is None:
-        amps = np.zeros(2 ** len(q["basis"]), dtype=complex)
-        amps[int(q["basis"], 2)] = 1.0
     try:
+        amps = q["input"]
+        if amps is None:
+            amps = np.zeros(2 ** len(q["basis"]), dtype=complex)
+            amps[int(q["basis"], 2)] = 1.0
         reg = jones.encode_state(amps)
+        elements = _build(q["elements"], _ELEMENTS, f"{ctx} elements")
+        # the configured elements; a generated gate network is valid once its qubits are
+        jones._layers(elements, reg.n_modes)
+        for network in _build(q["gates"], _GATES, f"{ctx} gates", reg.n_qubits):
+            elements += network
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}")
-    elements = _build(q["elements"], _ELEMENTS, f"{ctx} elements")
-    for network in _build(q["gates"], _GATES, f"{ctx} gates", reg.n_qubits):
-        elements += network
     return reg, elements
 
 
@@ -329,7 +339,7 @@ _RDS = {
     "steps_per_domain": (_integer(1), rds.DEFAULT_STEPS_PER_DOMAIN),
     "sample_stride": (_integer(1), 1),
     "gate": (_choice("not", "cnot"), None),
-    "beam_amplitude": (_number, rds.DEFAULT_BEAM_AMPLITUDE),
+    "beam_amplitude": (_positive, rds.DEFAULT_BEAM_AMPLITUDE),
 }
 
 
@@ -483,7 +493,7 @@ def verify_truth_tables(backends):
         try:
             gates = _GATE_BACKENDS[b]()
             reports.extend([TruthTableReport(name, b, _gate_rows(gates[name], table)) for name, table in tables])
-        except Exception as exc:  # isolate failures per backend
+        except _PHYSICS_ERRORS as exc:  # isolate failures per backend
             reports.append(TruthTableReport("NOT+CNOT", b, rows=[], error=str(exc)))
     return reports
 
@@ -652,12 +662,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (rds.CalibrationError, rds.DivergenceError, CutoffError, spin.GateCompilationError) as exc:
+    except _PHYSICS_ERRORS as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -93,10 +93,6 @@ class ModeRegister:
         # M = 2**(n-1) modes, so for a power-of-two M this is log2(M) + 1
         return self.n_modes.bit_length()
 
-    @property
-    def total_power(self):
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 def encode_state(qubit_amplitudes) -> ModeRegister:
     """Map 2**n qubit amplitudes onto (spatial mode, polarization) slots."""

@@ -17,15 +17,16 @@ complex array, through D domains of steps_per_domain steps each: the
 domain signs and lengths, couplings and mismatches may differ per column,
 and a zero-length domain leaves a column's fields as they are.  The steps
 of a domain run in blocks of at most 64: per block, one np.exp gives
-e^{i dkA z} and e^{i dkB z} at every midpoint and step end, the other
-three phase factors being their conjugates (2 exps per point), and the
-photon flux N of the whole block is checked at once.  It keeps a
-running max of |N - N0| per column over every step (the Manley-Rowe
-drift), and writes a (K, 3, B) trajectory only when asked.  A non-finite
-exit field or flux raises DivergenceError.  The steps themselves have two
-bodies, chosen by the batch width: up to _NARROW columns they run column
-by column on Python complex scalars, where a numpy step would cost its 34
-calls' dispatch; wider batches run the numpy step on all columns at once.
+e^{i dkA z} and e^{i dkB z} at the block's start and at every midpoint
+and step end, the other three phase factors being their conjugates (2
+exps per point), and the photon flux N of the whole block is checked at
+once.  It keeps a running max of |N - N0| per column over every step
+(the Manley-Rowe drift), and writes a (K, 3, B) trajectory only when
+asked.  A non-finite exit field or flux raises DivergenceError.  The
+steps themselves have two bodies, chosen by the batch width: up to
+_NARROW columns they run column by column on Python complex scalars,
+where a numpy step would cost its 34 calls' dispatch; wider batches run
+the numpy step on all columns at once.
 `propagate` is the batch of one, with its trajectory.
 `propagate_many` pads shorter grids with zero-length domains and makes
 one kernel call for any list of cases, so every sweep is a single
@@ -37,20 +38,21 @@ output is a threshold comparison on the second-harmonic (NOT) or
 third-harmonic (CNOT target) output power.  All logic inputs make only
 three distinct pumps (2A, 0, -2A).  Since (a1, a2, a3) -> (-a1, a2, -a3)
 maps solutions to solutions exactly in floating point, calibration
-propagates 2A alone in one kernel call and keeps the levels of all three;
-`calibrated_gate` reads every gate output from those levels.
+propagates 2A alone in one kernel call.  Its SH and TH powers P2 and P3
+are the bright levels of the 2A and -2A pumps, the dark level of the 0
+pump is exactly 0, and `calibrated_gate` reads every gate output from
+these levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-# Dark logic levels can be exactly zero (perfect destructive interference);
-# they are floored at this fraction of the bright level before ratios.
+# The dark logic level is exactly zero (perfect destructive interference);
+# thresholds and separations floor it at this fraction of the bright level.
 DARK_FLOOR_RATIO = 1e-30
 
 DEFAULT_STEPS_PER_DOMAIN = 16
@@ -200,12 +202,12 @@ _BLOCK = 64
 _NARROW = 6
 
 
-def _column_steps(fields, h, start, coefficients):
+def _column_steps(fields, h, coefficients):
     """One column's RK4 steps through a block, on Python complex scalars.
 
     fields is the column's [a1, a2, a3] and h its Python float step.
-    start holds the five terms' coupling coefficients at the first step's
-    start, coefficients those at every midpoint and step end, interleaved.
+    coefficients holds the five terms' coupling coefficients at the
+    block's start and then at every step's midpoint and end, interleaved.
     The expressions and their order are those of rk4's numpy step body.
     Uses no abs() or **, which raise OverflowError on huge finite
     values: a diverging column turns inf or nan, as in numpy.  Returns the
@@ -213,9 +215,9 @@ def _column_steps(fields, h, start, coefficients):
     """
     x1, x2, x3 = fields
     half, sixth = 0.5 * h, h / 6.0
-    p0, q0, r0, s0, t0 = start
+    p0, q0, r0, s0, t0 = coefficients[0]
     rows = []
-    for (p1, q1, r1, s1, t1), end in zip(coefficients[0::2], coefficients[1::2]):
+    for (p1, q1, r1, s1, t1), end in zip(coefficients[1::2], coefficients[2::2]):
         b1 = x1.conjugate()
         k11 = b1 * x2 * p0 + x2.conjugate() * x3 * q0
         k12 = x1 * x1 * r0 + b1 * x3 * s0
@@ -256,13 +258,13 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     the column's fields and z stay put, which pads shorter grids.
 
     The steps of a domain run in blocks of at most _BLOCK.  Per block, one
-    np.exp gives e^{i dkA z} and e^{i dkB z} at every step's midpoint and
-    end (the step start reuses the previous step's end), and the other
-    three phase factors are their conjugates: 2 exps per point.  The
-    positions are running sums from the current z, bitwise those of
-    z += h.  Each step writes its fields into a block buffer, and the
-    photon flux N of the whole block is then checked for the Manley-Rowe
-    drift, so every step counts.
+    np.exp gives e^{i dkA z} and e^{i dkB z} at the block's start and at
+    every step's midpoint and end (a step starts where the last one ended),
+    and the other three phase factors are their conjugates: 2 exps per
+    point.  The positions are running sums from the current z, bitwise
+    those of z += h.  Each step writes its fields into a block buffer, and
+    the photon flux N of the whole block is then checked for the
+    Manley-Rowe drift, so every step counts.
 
     A batch of at most _NARROW columns steps each column through the block
     on Python scalars (_column_steps), reading its phase-and-coupling table
@@ -305,9 +307,10 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     products, firsts, seconds = terms[:5], terms[0::2], terms[1::2]
     k1, k2, k3, k4 = np.empty((4, 3, width), dtype=complex)
     # z after 0..m steps of a block (row 0 is the current z), the block's
-    # midpoint and end positions interleaved, and the fields after each step
+    # start, then its midpoint and end positions interleaved, and the fields
+    # after each step
     ends = np.zeros((_BLOCK + 1, width))
-    points = np.empty((2 * _BLOCK, width))
+    points = np.empty((2 * _BLOCK + 1, width))
     block_fields = np.empty((_BLOCK, 3, width), dtype=complex)
 
     def derivs(c, out):
@@ -323,7 +326,6 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
 
     n0 = flux(a)
     worst = np.zeros(width)
-    e_end = np.ones((5, width), dtype=complex)
     zs = samples = None
     k = 0
     if trajectory:
@@ -335,24 +337,22 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
         half, sixth = 0.5 * h, h / 6.0
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            z, pts = ends[: m + 1], points[: 2 * m]
+            z, pts = ends[: m + 1], points[: 2 * m + 1]
             z[1:] = h
             np.add.accumulate(z, axis=0, out=z)
-            np.add(z[:-1], half, out=pts[0::2])
-            pts[1::2] = z[1:]
+            pts[0] = z[0]
+            np.add(z[:-1], half, out=pts[1::2])
+            pts[2::2] = z[1:]
             e = np.exp(phase * pts[:, None, :]).take(_LEGS, axis=1)
             np.conjugate(e[:, 2::2], out=e[:, 2::2])
-            c_first = c * e_end  # the block's first step starts where the last one ended
-            e_end = e[-1]
             ce = c * e
             rows = samples[k + 1 : k + 1 + m] if trajectory else block_fields[:m]
             if width <= _NARROW:
-                columns = zip(h.tolist(), c_first.T.tolist(), ce.transpose(2, 0, 1).tolist())
-                for j, (step, first, coefficients) in enumerate(columns):
-                    rows[:, :, j] = column = _column_steps(a[:, j].tolist(), step, first, coefficients)
+                for j, (step, coefficients) in enumerate(zip(h.tolist(), ce.transpose(2, 0, 1).tolist())):
+                    rows[:, :, j] = column = _column_steps(a[:, j].tolist(), step, coefficients)
                     a[:, j] = column[-1]
             else:
-                for row, c_start, c_mid, c_end in zip(rows, (c_first, *ce[1::2]), ce[0::2], ce[1::2]):
+                for row, c_start, c_mid, c_end in zip(rows, ce[0::2], ce[1::2], ce[2::2]):
                     stage[...] = a
                     derivs(c_start, k1)
                     np.multiply(half, k1, out=stage)
@@ -457,16 +457,17 @@ def qpm_enhancement_check(
 class LogicThresholds:
     """Calibrated decision levels for the SH (NOT) and TH (CNOT) channels.
 
-    sh_levels and th_levels are the SH and TH output powers of the three
-    distinct pumps, indexed by the number of 1 bits among the inputs.
+    p2 and p3 are the SH and TH output powers of the bright pumps, 2A and
+    -2A, which inputs with 0 or 2 one-bits make; the dark pump 0 of inputs
+    with one one-bit gives exactly 0 in both channels.
     """
 
     p_th2: float
     p_th3: float
     separation_sh: float
     separation_th: float
-    sh_levels: Tuple[float, float, float]
-    th_levels: Tuple[float, float, float]
+    p2: float
+    p3: float
 
 
 def calibrate_thresholds(
@@ -481,62 +482,52 @@ def calibrate_thresholds(
     amplitude A).  Only 2A is propagated: (a1, a2, a3) -> (-a1, a2, -a3)
     maps solutions to solutions exactly in floating point, so -2A exits
     with bitwise the powers of 2A, and 0 stays exactly 0.  Each threshold
-    sits at the geometric mean of the bright and dark output-power levels
-    of its channel (dark levels floored, since perfect destructive
-    interference yields exactly zero power).  Raises CalibrationError when
-    the levels are separated by less than a factor 2, as they are without
-    SFG coupling (kappa_b = 0), where every TH level is zero, and when a
-    bright level is so small that its dark floor underflows to 0 (beam
-    amplitude below about 1e-75 on the default crystal).  Thresholds
-    are only valid for this beam amplitude; changing the amplitude
-    requires recalibration.
+    sits at the geometric mean of its channel's bright level p and the
+    dark floor p * DARK_FLOOR_RATIO, which stands in for the dark level 0;
+    the separation is p over that floor.  Raises CalibrationError when a
+    bright level is so small that its floor underflows to 0 (beam
+    amplitude below about 1e-75 on the default crystal), and when a bright
+    level is 0, as every TH level is without SFG coupling (kappa_b = 0).
+    Thresholds are only valid for this beam amplitude; changing the
+    amplitude requires recalibration.
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
 
-    # inputs with 0, 1 and 2 one-bits (a NOT bit's bias beam is a 0) pump 2A, 0 and -2A
     final = propagate_many([(FieldTriple(2.0 * beam_amplitude, 0.0, 0.0), grid, params)], steps_per_domain)[0]
     p2, p3 = (float(x) for x in np.abs(final[1:, 0]) ** 2)
-    sh, th = (p2, 0.0, p2), (p3, 0.0, p3)
-
-    sh_high, sh_low = sh[0], sh[1]
-    th_high, th_low = th[0], th[1]
-
-    def separation(high, low):
-        if high <= 0.0:
-            return 0.0
-        floor = max(low, high * DARK_FLOOR_RATIO)
-        if floor == 0.0:
+    for p in (p2, p3):
+        if p > 0.0 and p * DARK_FLOOR_RATIO == 0.0:
             raise CalibrationError(
-                f"logic levels underflow: dark floor {DARK_FLOOR_RATIO:g} x bright level {high:.3e} is 0; "
+                f"logic levels underflow: dark floor {DARK_FLOOR_RATIO:g} x bright level {p:.3e} is 0; "
                 "use a larger beam_amplitude"
             )
-        return high / floor
-
-    sep_sh = separation(sh_high, sh_low)
-    sep_th = separation(th_high, th_low)
-    if sep_sh < 2.0 or sep_th < 2.0:
+    if p2 == 0.0 or p3 == 0.0:
         raise CalibrationError(
-            "logic levels not separable: "
-            f"SH bright={sh_high:.3e} dark={sh_low:.3e}, "
-            f"TH bright={th_high:.3e} dark={th_low:.3e}"
+            f"logic levels not separable: SH bright={p2:.3e} dark=0.000e+00, TH bright={p3:.3e} dark=0.000e+00"
         )
-    p_th2 = math.sqrt(sh_high * max(sh_low, sh_high * DARK_FLOOR_RATIO))
-    p_th3 = math.sqrt(th_high * max(th_low, th_high * DARK_FLOOR_RATIO))
-    return LogicThresholds(p_th2, p_th3, sep_sh, sep_th, sh, th)
+    return LogicThresholds(
+        p_th2=math.sqrt(p2 * (p2 * DARK_FLOOR_RATIO)),
+        p_th3=math.sqrt(p3 * (p3 * DARK_FLOOR_RATIO)),
+        separation_sh=p2 / (p2 * DARK_FLOOR_RATIO),
+        separation_th=p3 / (p3 * DARK_FLOOR_RATIO),
+        p2=p2,
+        p3=p3,
+    )
 
 
 def calibrated_gate(inputs, cal: LogicThresholds):
     """NOT (one input bit) or CNOT (two) read from the calibration's own levels.
 
-    The inputs select their pump's exit powers P2(L) and P3(L).  NOT
-    outputs 1 iff P2(L) >= p_th2.  CNOT passes the control through; equal
-    bits interfere constructively and drive the cascaded third harmonic
-    high, so the XOR target is 1 iff P3(L) < p_th3.
+    The inputs select their pump's exit powers P2(L) and P3(L): the bright
+    levels for 0 or 2 one-bits, 0 for one.  NOT outputs 1 iff
+    P2(L) >= p_th2.  CNOT passes the control through; equal bits interfere
+    constructively and drive the cascaded third harmonic high, so the XOR
+    target is 1 iff P3(L) < p_th3.
     """
     if len(inputs) not in (1, 2) or any(x not in (0, 1) for x in inputs):
         raise ValueError(f"gate inputs must be one or two bits, each 0 or 1, got {tuple(inputs)}")
-    k = int(sum(inputs))
+    bright = sum(inputs) != 1
     if len(inputs) == 1:
-        return (1 if cal.sh_levels[k] >= cal.p_th2 else 0,)
-    return int(inputs[0]), 1 if cal.th_levels[k] < cal.p_th3 else 0
+        return (1 if (cal.p2 if bright else 0.0) >= cal.p_th2 else 0,)
+    return int(inputs[0]), 1 if (cal.p3 if bright else 0.0) < cal.p_th3 else 0

@@ -77,7 +77,7 @@ def test_criterion_2_norm_and_power_preservation(capsys):
                 a, b = rng.choice(4, size=2, replace=False)
                 e = jones.PBSSwap(int(a), int(b))
             reg = jones.apply_network(reg, [e])
-        assert abs(reg.total_power - 1.0) < 1e-10
+        assert abs(np.sum(np.abs(reg.amplitudes) ** 2) - 1.0) < 1e-10
     with capsys.disabled():
         report(2, "1000 randomized spin/jones sequences preserve norm within 1e-10")
 

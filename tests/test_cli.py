@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -468,6 +469,7 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
             {"type": "pbs_swap", "mode_a": 1, "mode_b": 1}]}}, None),
         ("run", {"backend": "jones", "parameters": {"basis": "10", "gates": [{"type": "not", "qubit": 5}]}}, None),
         ("run", {"backend": "jones", "parameters": {"basis": "1" * 70}}, None),
+        ("run", {"backend": "spin", "parameters": {"gate": "cnot", "control": 1, "target": 1}}, None),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -512,6 +514,7 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
         "jones-pbs-swap-same-mode",
         "jones-not-qubit-out-of-range",
         "jones-basis-70-bits",
+        "spin-cnot-control-equals-target",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
@@ -527,6 +530,26 @@ def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+
+
+def test_runner_value_error_is_a_bug_not_a_config_error(tmp_path, monkeypatch):
+    def broken(parsed, seed):
+        raise ValueError("a library bug")
+
+    parse, _, *rest = cli.BACKENDS["stats"]
+    monkeypatch.setitem(cli.BACKENDS, "stats", (parse, broken, *rest))
+    cfg = write_config(tmp_path, "stats.json", {"backend": "stats"})
+    with pytest.raises(ValueError, match="a library bug"):
+        cli.main(["run", "--config", cfg])
+
+
+def test_gate_builder_type_error_is_a_bug_not_a_failed_gate(monkeypatch):
+    def broken():
+        raise TypeError("a library bug")
+
+    monkeypatch.setitem(cli._GATE_BACKENDS, "jones", broken)
+    with pytest.raises(TypeError, match="a library bug"):
+        cli.verify_truth_tables(("spin", "jones"))
 
 
 def test_stats_cutoff_cap_still_parses(tmp_path, capsys):
@@ -653,6 +676,23 @@ def test_rds_gate_run_is_one_kernel_call(tmp_path, capsys, kernel_widths, gate):
     cfg = write_config(tmp_path, "gate.json", {"backend": "rds", "parameters": {"gate": gate}})
     assert cli.main(["run", "--config", cfg]) == 0
     assert kernel_widths == [1]
+
+
+# at 2e-48 the TH level's dark floor is subnormal, and its separation passes MARGIN_CAP
+@pytest.mark.parametrize("amplitude", [rds.DEFAULT_BEAM_AMPLITUDE, 2e-48])
+@pytest.mark.parametrize("gate", ["not", "cnot"])
+def test_rds_gate_columns_are_read_from_the_bright_levels(tmp_path, capsys, gate, amplitude):
+    cfg = {"backend": "rds", "parameters": {"gate": gate, "beam_amplitude": amplitude}}
+    assert cli.main(["run", "--config", write_config(tmp_path, "gate.json", cfg)]) == 0
+    p = rds.default_params()
+    final = rds.propagate_many([(rds.FieldTriple(2 * amplitude, 0.0, 0.0), rds.default_grid(p), p)])[0]
+    bright = float(abs(final[1 if gate == "not" else 2, 0]) ** 2)
+    floor = bright * rds.DARK_FLOOR_RATIO
+    expected = [min(bright / floor, cli.MARGIN_CAP), math.sqrt(bright * floor)]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) in (2, 4)
+    for row in rows:
+        assert [float(x) for x in row.split(",")[-2:]] == expected
 
 
 def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsys):

@@ -539,11 +539,11 @@ def test_calibration_pumps_match_reference_and_zero_pump_stays_zero():
     assert_matches_reference(cases, final, drift)
     assert np.all(final[:, 1] == 0.0) and drift[1] == 0.0
     cal = rds.calibrate_thresholds(grid, p, a, steps)
-    for k, (fields, *_) in enumerate(cases):
+    # the bright levels are those of the 2A and -2A pumps
+    for fields, *_ in (cases[0], cases[2]):
         ref = reference_propagate(fields, grid, p, steps).final
-        assert cal.sh_levels[k] == pytest.approx(abs(ref.a2) ** 2, rel=1e-12, abs=0.0)
-        assert cal.th_levels[k] == pytest.approx(abs(ref.a3) ** 2, rel=1e-12, abs=0.0)
-    assert cal.sh_levels[1] == 0.0 and cal.th_levels[1] == 0.0
+        assert cal.p2 == pytest.approx(abs(ref.a2) ** 2, rel=1e-12, abs=0.0)
+        assert cal.p3 == pytest.approx(abs(ref.a3) ** 2, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -566,8 +566,9 @@ def test_one_pump_levels_are_bitwise_the_three_pump_batch(params, grid, steps, a
     cases = [(rds.FieldTriple(a, 0.0, 0.0), grid, params) for a in (2 * amplitude, 0.0, -2 * amplitude)]
     powers = np.abs(rds.propagate_many(cases, steps)[0]) ** 2
     cal = rds.calibrate_thresholds(grid, params, amplitude, steps)
-    assert np.array(cal.sh_levels).tobytes() == powers[1].tobytes()
-    assert np.array(cal.th_levels).tobytes() == powers[2].tobytes()
+    # the bright levels have the bits of the 2A and -2A columns, and the 0 column is exactly 0
+    assert np.array([cal.p2, 0.0, cal.p2]).tobytes() == powers[1].tobytes()
+    assert np.array([cal.p3, 0.0, cal.p3]).tobytes() == powers[2].tobytes()
 
 
 # ---------------------------------------------------------------- steps in blocks
@@ -597,6 +598,25 @@ def test_long_domain_blocks_match_scalar_reference():
     traj = rds.propagate(fields, grid, p, 10_000)
     assert traj.z.shape == (10_001,) and np.array_equal(traj.z, refs[0].z)
     assert np.max(np.abs(traj.fields - refs[0].fields)) <= 1e-12 * 0.2
+
+
+@pytest.mark.parametrize("width", [1, 9])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, width):
+    rng = np.random.default_rng(5)
+    fields = 0.1 * (rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)))
+    signs = rng.choice([-1.0, 1.0], size=(4, width))
+    lengths = rng.uniform(2e-4, 6e-4, size=(4, width))
+    lengths[-1, 0] = 0.0  # a padded zero-length domain
+    couplings, mismatches = rng.uniform(0.5, 2.0, size=(2, width)), rng.uniform(2e3, 8e3, size=(2, width))
+    args = (fields, signs, lengths, 150, *couplings, *mismatches)
+
+    def run(block):
+        monkeypatch.setattr(rds, "_BLOCK", block)
+        return [x.tobytes() for x in rds.rk4(*args, trajectory=True)]
+
+    default = run(rds._BLOCK)
+    for block in (1, 5):
+        assert run(block) == default, block
 
 
 def test_kernel_memory_does_not_grow_with_domain_steps():
