@@ -307,7 +307,7 @@ def _parse_jones(params):
         reg = jones.encode_state(amps)
         elements = _build(q["elements"], _ELEMENTS, f"{ctx} elements")
         # the configured elements; a generated gate network is valid once its qubits are
-        jones._layers(elements, reg.n_modes)
+        list(jones.check_elements(elements, reg.n_modes))
         for network in _build(q["gates"], _GATES, f"{ctx} gates", reg.n_qubits):
             elements += network
     except ValueError as exc:

@@ -121,8 +121,25 @@ def _plate_key(element):
     return (type(element),) + tuple((type(a), float(a).hex()) for a in angles)
 
 
+def check_elements(elements, n_modes):
+    """Yield (element, modes it acts on) for a network on n_modes modes; raise at an invalid element."""
+    for element in elements:
+        if isinstance(element, PBSSwap):
+            a, b = modes = (element.mode_a, element.mode_b)
+            if not (0 <= a < n_modes and 0 <= b < n_modes) or a == b:
+                raise ValueError(f"invalid PBS mode pair ({a}, {b})")
+        elif isinstance(element, (Waveplate, Rotator)):
+            modes = list(range(n_modes) if element.modes is None else element.modes)
+            # every listed mode is updated at once, so a repeated mode would be rotated once
+            if len(set(modes)) < len(modes) or not all(0 <= m < n_modes for m in modes):
+                raise ValueError(f"invalid mode indices {element.modes} for {n_modes} modes")
+        else:
+            raise TypeError(f"unknown optical element {element!r}")
+        yield element, modes
+
+
 def _layers(elements, n_modes):
-    """Validate every element, then schedule each one as early as it can go.
+    """Schedule each checked element as early as it can go.
 
     An element joins the layer after the last layer that touched any of
     its modes, so the elements of one layer act on disjoint modes and each
@@ -132,28 +149,16 @@ def _layers(elements, n_modes):
     """
     layers = []
     last = [-1] * n_modes  # last layer that touched each mode
-    for element in elements:
-        if isinstance(element, PBSSwap):
-            a, b = element.mode_a, element.mode_b
-            if not (0 <= a < n_modes and 0 <= b < n_modes) or a == b:
-                raise ValueError(f"invalid PBS mode pair ({a}, {b})")
-            modes = (a, b)
-        elif isinstance(element, (Waveplate, Rotator)):
-            modes = list(range(n_modes) if element.modes is None else element.modes)
-            # every listed mode is updated at once, so a repeated mode would be rotated once
-            if len(set(modes)) < len(modes) or not all(0 <= m < n_modes for m in modes):
-                raise ValueError(f"invalid mode indices {element.modes} for {n_modes} modes")
-            if not modes:
-                continue
-        else:
-            raise TypeError(f"unknown optical element {element!r}")
+    for element, modes in check_elements(elements, n_modes):
+        if not modes:
+            continue
         k = 1 + max(last[m] for m in modes)
         if k == len(layers):
             layers.append(([], [], {}))
         swaps_a, swaps_b, plates = layers[k]
         if isinstance(element, PBSSwap):
-            swaps_a.append(a)
-            swaps_b.append(b)
+            swaps_a.append(modes[0])
+            swaps_b.append(modes[1])
         else:
             plates.setdefault(_plate_key(element), (element, []))[1].extend(modes)
         for m in modes:

@@ -176,6 +176,8 @@ def make_periodic_grid(total_length: float, domain_length: float) -> DomainGrid:
         raise ValueError(
             f"need total_length >= domain_length > 0, got {total_length}, {domain_length}"
         )
+    if not math.isfinite(total_length / domain_length):
+        raise ValueError(f"domain count {total_length} / {domain_length} is not finite")
     n_full = int(total_length / domain_length)
     remainder = total_length - n_full * domain_length
     lengths = [domain_length] * n_full

@@ -164,13 +164,15 @@ def compile_cnot(control: int, target: int, j12: float) -> list:
 
     Canonical decomposition: basis change on the target, j-coupling delay
     tau = pi/(4|j12|), z-rotations on both spins, closing basis change.
-    Requires a nonzero coupling; the delay supplies the entangling phase.
+    Requires |j12| large enough for a finite delay, the entangling phase.
     """
     if control == target or not {control, target} <= {0, 1}:
         raise ValueError("control and target must be distinct spins of a 2-spin register")
     if j12 == 0.0:
         raise GateCompilationError("CNOT is uncompilable with j12 = 0 (no coupling)")
-    tau = math.pi / (4.0 * abs(j12))
+    tau = (math.pi / 4.0) / abs(j12)  # pi / (4 |j12|), without overflowing 4 |j12|
+    if math.isinf(tau):
+        raise GateCompilationError(f"CNOT is uncompilable with j12 = {j12!r} (its delay pi/(4|j12|) overflows)")
     # exp(-i*j12*zz*tau) = exp(-+i*(pi/4)*zz); the z-rotation sign closes CZ
     z_angle = -math.pi / 2 if j12 > 0 else math.pi / 2
     segs = list(_hadamard_segments(target))

@@ -470,6 +470,8 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
         ("run", {"backend": "jones", "parameters": {"basis": "10", "gates": [{"type": "not", "qubit": 5}]}}, None),
         ("run", {"backend": "jones", "parameters": {"basis": "1" * 70}}, None),
         ("run", {"backend": "spin", "parameters": {"gate": "cnot", "control": 1, "target": 1}}, None),
+        ("run", {"backend": "rds", "parameters": {"domain_length": 1e308}}, None),
+        ("run", {"backend": "rds", "parameters": {"length": 1.0, "domain_length": 5e-324}}, None),
     ],
     ids=[
         "spin-sweep-unknown-key",
@@ -515,6 +517,8 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
         "jones-not-qubit-out-of-range",
         "jones-basis-70-bits",
         "spin-cnot-control-equals-target",
+        "rds-domain-count-overflows",
+        "rds-domain-count-overflows-subnormal-domain",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, monkeypatch, capsys, command, cfg, out):
@@ -619,6 +623,30 @@ def test_diverging_rds_integration_is_one_line_physics_error(tmp_path, capsys, r
     assert len(recwarn) == 0
 
 
+# below |j12| of about 4.4e-309 the CNOT delay pi/(4|j12|) overflows to inf
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("run", {"backend": "spin", "parameters": {"gate": "cnot", "j12": 0.0}}),
+        ("run", {"backend": "spin", "parameters": {"gate": "cnot", "j12": 1e-320}}),
+        ("run", {"backend": "spin", "parameters": {"gate": "cnot", "j12": -1e-310}}),
+        ("sweep", {
+            "backend": "spin",
+            "parameters": {},
+            "sweep": {"parameter": "j12", "start": 5e-324, "stop": 1e-300, "count": 3},
+        }),
+    ],
+    ids=["run-j12-zero", "run-j12-subnormal", "run-j12-negative-tiny", "sweep-j12-from-subnormal"],
+)
+def test_uncompilable_spin_cnot_is_one_line_physics_error(tmp_path, capsys, command, cfg):
+    argv = [command, "--config", write_config(tmp_path, "spin.json", cfg)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("physics error: CNOT is uncompilable"), captured.err
+
+
 def test_truthtable_unwritable_out_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert cli.main(["truthtable", "--backends", "jones", "--out", str(out)]) == 2
@@ -678,8 +706,8 @@ def test_rds_gate_run_is_one_kernel_call(tmp_path, capsys, kernel_widths, gate):
     assert kernel_widths == [1]
 
 
-# at 2e-48 the TH level's dark floor is subnormal, and its separation passes MARGIN_CAP
-@pytest.mark.parametrize("amplitude", [rds.DEFAULT_BEAM_AMPLITUDE, 2e-48])
+# amplitudes whose thresholds are nonzero, so the gates reproduce their tables
+@pytest.mark.parametrize("amplitude", [rds.DEFAULT_BEAM_AMPLITUDE, 1e-20])
 @pytest.mark.parametrize("gate", ["not", "cnot"])
 def test_rds_gate_columns_are_read_from_the_bright_levels(tmp_path, capsys, gate, amplitude):
     cfg = {"backend": "rds", "parameters": {"gate": gate, "beam_amplitude": amplitude}}
@@ -689,10 +717,12 @@ def test_rds_gate_columns_are_read_from_the_bright_levels(tmp_path, capsys, gate
     bright = float(abs(final[1 if gate == "not" else 2, 0]) ** 2)
     floor = bright * rds.DARK_FLOOR_RATIO
     expected = [min(bright / floor, cli.MARGIN_CAP), math.sqrt(bright * floor)]
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert len(rows) in (2, 4)
+    assert expected[1] > 0.0
+    table = cli.NOT_TABLE if gate == "not" else cli.CNOT_TABLE
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert {tuple(map(int, row[:-2])) for row in rows} == {x + y for x, y in table.items()}
     for row in rows:
-        assert [float(x) for x in row.split(",")[-2:]] == expected
+        assert [float(x) for x in row[-2:]] == expected
 
 
 def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsys):

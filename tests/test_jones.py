@@ -313,6 +313,8 @@ def test_invalid_element_error_messages(element, error, message):
     network = jones.not_network(3, 0) + [element, jones.Rotator(0.5)]
     with pytest.raises(error, match=re.escape(message)):
         jones.gate_matrix(3, network)
+    with pytest.raises(error, match=re.escape(message)):
+        list(jones.check_elements(network, 4))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

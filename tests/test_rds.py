@@ -141,6 +141,12 @@ def test_make_periodic_grid_rejects_short_total():
         rds.make_periodic_grid(0.1, 0.25)
 
 
+@pytest.mark.parametrize("total,domain", [(math.inf, 1.0), (math.inf, math.inf), (1.0, 5e-324)])
+def test_make_periodic_grid_rejects_an_infinite_domain_count(total, domain):
+    with pytest.raises(ValueError, match="is not finite"):
+        rds.make_periodic_grid(total, domain)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         rds.DomainGrid(np.array([]), np.array([]))

@@ -208,6 +208,21 @@ def test_compile_cnot_requires_coupling():
         spin.compile_cnot(0, 1, 0.0)
 
 
+@pytest.mark.parametrize("j12", [1e308, -1.7e308])
+def test_compile_cnot_with_the_largest_couplings(j12):
+    # 4 |j12| overflows a float, yet the delay pi/(4|j12|) does not
+    u = spin.sequence_unitary(spin.compile_cnot(0, 1, j12), 2, j12)
+    ideal = permutation_matrix(cnot_permutation(2, 0, 1))
+    assert spin.gate_fidelity(ideal, u) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("j12", [5e-324, -1e-310])
+def test_compile_cnot_rejects_an_infinite_delay(j12):
+    # below |j12| of about 4.4e-309 the delay pi/(4|j12|) overflows
+    with pytest.raises(spin.GateCompilationError, match="overflows"):
+        spin.compile_cnot(0, 1, j12)
+
+
 def test_gate_fidelity_examples():
     u = spin.sequence_unitary(spin.compile_cnot(0, 1, 0.1), 2, 0.1)
     assert spin.gate_fidelity(u, u) == pytest.approx(1.0, abs=1e-12)
