@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_PHYSICS = 1
 EXIT_CONFIG = 2
 
-# Cap on reported level-separation margins so JSON output stays finite.
-MARGIN_CAP = 1e30
 # Largest spin "shots": the multinomial sampler counts in int64.
 MAX_SHOTS = 2**63 - 1
 # Largest stats "cutoff": the time and memory of a distribution run grow
@@ -156,16 +154,16 @@ def load_config(path):
 # ---------------------------------------------------------------- output
 
 
-def _fmt_csv(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def payload_csv(payload):
+    """CSV text, floats as .17g and anything else as str: one %-format per row, built once per row of types."""
+    formats = {}
     lines = [",".join(payload["columns"])]
     for row in payload["rows"]:
-        lines.append(",".join(_fmt_csv(v) for v in row))
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds)
+        lines.append(fmt % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -477,7 +475,7 @@ def _rds_gates(parsed):
     cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], q["steps_per_domain"])
 
     def gate(separation):
-        return lambda inputs: (rds.calibrated_gate(inputs, cal), min(separation, MARGIN_CAP))
+        return lambda inputs: (rds.calibrated_gate(inputs, cal), separation)
 
     return cal, {"NOT": gate(cal.separation_sh), "CNOT": gate(cal.separation_th)}
 

@@ -15,18 +15,20 @@ domain, so the discontinuous s(z) never falls inside a step.
 One kernel, `rk4`, integrates a batch of B independent beams, a (3, B)
 complex array, through D domains of steps_per_domain steps each: the
 domain signs and lengths, couplings and mismatches may differ per column,
-and a zero-length domain leaves a column's fields as they are.  The steps
-of a domain run in blocks of at most 64: per block, one np.exp gives
-e^{i dkA z} and e^{i dkB z} at the block's start and at every midpoint
-and step end, the other three phase factors being their conjugates (2
-exps per point), and the photon flux N of the whole block is checked at
-once.  It keeps a running max of |N - N0| per column over every step
-(the Manley-Rowe drift), and writes a (K, 3, B) trajectory only when
-asked.  A non-finite exit field or flux raises DivergenceError.  The
-steps themselves have two bodies, chosen by the batch width: up to
-_NARROW columns they run column by column on Python complex scalars,
-where a numpy step would cost its 34 calls' dispatch; wider batches run
-the numpy step on all columns at once.
+and a zero-length domain leaves a column's fields as they are.  The
+domain sign rides on the step size (RK4 of s f with step h is RK4 of f
+with step s h, bit for bit), so the steps run in blocks that cross domain
+boundaries: at most 128 steps and about 1,300 field cells (steps x
+columns) each.  Per block, one np.exp gives e^{i dkA z} and e^{i dkB z}
+at the block's start and at every midpoint and step end, the other three
+phase factors being their conjugates (2 exps per point), and the photon
+flux N of the whole block is checked at once.  It keeps a running max of
+|N - N0| per column over every step (the Manley-Rowe drift), and writes a
+(K, 3, B) trajectory only when asked.  A non-finite exit field or flux
+raises DivergenceError.  The steps themselves have two bodies, chosen by
+the batch width: up to _NARROW columns they run column by column on
+Python complex scalars, where a numpy step would cost its 34 calls'
+dispatch; wider batches run the numpy step on all columns at once.
 `propagate` is the batch of one, with its trajectory.
 `propagate_many` pads shorter grids with zero-length domains and makes
 one kernel call for any list of cases, so every sweep is a single
@@ -50,10 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# The dark logic level is exactly zero (perfect destructive interference);
-# thresholds and separations floor it at this fraction of the bright level.
-DARK_FLOOR_RATIO = 1e-30
 
 DEFAULT_STEPS_PER_DOMAIN = 16
 DEFAULT_N_DOMAINS = 100
@@ -197,29 +195,31 @@ _FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
 # The five terms' phase factors e^{i dk z} are e^{i dkA z}, e^{i dkB z} and
 # the conjugates of e^{i dkA z}, e^{i dkB z}, e^{i dkB z} (rows 2 and 4).
 _LEGS = np.array([0, 1, 0, 1, 1])
-# Steps per block: one phase table and one flux check each.
-_BLOCK = 64
+# Steps per block, and field cells (steps x columns) per block, at most:
+# each block makes one phase table and one flux check, and a wide batch's
+# tables stay cache-sized (16 steps at 81 columns measured fastest there).
+_BLOCK = 128
+_CELLS = 1296
 # The widest batch whose steps run column by column on Python scalars:
 # up to here numpy's per-call dispatch costs more than the arithmetic.
 _NARROW = 6
 
 
-def _column_steps(fields, h, coefficients):
+def _column_steps(fields, steps, coefficients):
     """One column's RK4 steps through a block, on Python complex scalars.
 
-    fields is the column's [a1, a2, a3] and h its Python float step.
-    coefficients holds the five terms' coupling coefficients at the
-    block's start and then at every step's midpoint and end, interleaved.
-    The expressions and their order are those of rk4's numpy step body.
-    Uses no abs() or **, which raise OverflowError on huge finite
-    values: a diverging column turns inf or nan, as in numpy.  Returns the
-    fields after each step.
+    fields is the column's [a1, a2, a3] and steps its [h / 2, h, h / 6]
+    per step, h signed by the step's domain.  coefficients holds the five
+    terms' coupling coefficients at the block's start and then at every
+    step's midpoint and end, interleaved.  The expressions and their order
+    are those of rk4's numpy step body.  Uses no abs() or **, which raise
+    OverflowError on huge finite values: a diverging column turns inf or
+    nan, as in numpy.  Returns a1, a2, a3 after each step, in one list.
     """
     x1, x2, x3 = fields
-    half, sixth = 0.5 * h, h / 6.0
     p0, q0, r0, s0, t0 = coefficients[0]
     rows = []
-    for (p1, q1, r1, s1, t1), end in zip(coefficients[1::2], coefficients[2::2]):
+    for (half, h, sixth), (p1, q1, r1, s1, t1), end in zip(steps, coefficients[1::2], coefficients[2::2]):
         b1 = x1.conjugate()
         k11 = b1 * x2 * p0 + x2.conjugate() * x3 * q0
         k12 = x1 * x1 * r0 + b1 * x3 * s0
@@ -243,7 +243,7 @@ def _column_steps(fields, h, coefficients):
         x1 += (2.0 * (k21 + k31) + k11 + k41) * sixth
         x2 += (2.0 * (k22 + k32) + k12 + k42) * sixth
         x3 += (2.0 * (k23 + k33) + k13 + k43) * sixth
-        rows.append((x1, x2, x3))
+        rows += x1, x2, x3
     return rows
 
 
@@ -254,29 +254,35 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     fields is a (3, B) complex array.  The domain signs and lengths are
     (D, B), or (D, 1) for one grid shared by every column, and the
     couplings and mismatches are scalars or (B,).  Each domain takes
-    steps_per_domain steps of its length / steps_per_domain, so steps never
-    cross a domain boundary and the discontinuous sign profile keeps
+    steps_per_domain steps of its length / steps_per_domain, so no step
+    straddles a domain boundary and the discontinuous sign profile keeps
     4th-order accuracy.  The steps of a zero-length domain are of size 0:
     the column's fields and z stay put, which pads shorter grids.
 
-    The steps of a domain run in blocks of at most _BLOCK.  Per block, one
+    The domain sign rides on the step: RK4 of s f with step h is RK4 of f
+    with step s h, bit for bit, since s = +/-1 only flips signs and IEEE
+    rounding mirrors them.  So each step reads its signed h / 2, h and h / 6
+    from a per-domain table (step k lies in domain k // steps_per_domain),
+    and a block is any run of at most _BLOCK consecutive steps and _CELLS
+    field cells (steps x columns), across domain boundaries.  Per block, one
     np.exp gives e^{i dkA z} and e^{i dkB z} at the block's start and at
-    every step's midpoint and end (a step starts where the last one ended),
-    and the other three phase factors are their conjugates: 2 exps per
-    point.  The positions are running sums from the current z, bitwise
-    those of z += h.  Each step writes its fields into a block buffer, and
-    the photon flux N of the whole block is then checked for the
-    Manley-Rowe drift, so every step counts.
+    every step's midpoint and end, the other three phase factors being
+    their conjugates, and the photon flux N of the whole block is then
+    checked for the Manley-Rowe drift.  The positions are running sums of
+    the unsigned steps, bitwise those of z += h, so no output depends on
+    where the blocks end.
 
     A batch of at most _NARROW columns steps each column through the block
-    on Python scalars (_column_steps), reading its phase-and-coupling table
-    as a list.  Wider batches step all columns at once with numpy ufuncs
-    into buffers allocated once per call.  At width 1 a step costs about
-    6 us on scalars against 30-50 us of numpy dispatch, and the numpy step
-    wins from about 8 columns up (_NARROW is the measured crossover).  The
-    two bodies evaluate the same expressions in the same order, but numpy's
-    SIMD complex multiply fuses a product into an add, so they agree to
-    about 1e-16 relative, not bitwise.
+    on Python scalars (_column_steps), reading its steps and its
+    phase-and-coupling table as lists.  Wider batches step all columns at
+    once with numpy ufuncs into buffers allocated once per call; the rows
+    of the per-domain table are padded to an even length, so that each
+    starts 16-byte aligned (a misaligned row costs the width-81 step 3-7%).
+    At width 1 a step costs about 4 us on scalars against 30-50 us of numpy
+    dispatch, and the numpy step wins from about 8 columns up (_NARROW is
+    the measured crossover).  The two bodies evaluate the same expressions
+    in the same order, but numpy's SIMD complex multiply fuses a product
+    into an add, so they agree to about 1e-16 relative, not bitwise.
 
     Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
     drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
@@ -292,7 +298,16 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     n = int(steps_per_domain)
     a = np.array(fields, dtype=complex)
     width = a.shape[1]
-    h_all = np.broadcast_to(np.asarray(lengths, dtype=float) / n, (len(lengths), width))
+    # each domain's h and h / 2, which advance z, and its signed s h / 2, s h
+    # and s h / 6, which step the fields: Python floats per column for the
+    # scalar body, views of rows padded to an even length for the numpy body
+    step = np.asarray(lengths, dtype=float) / n
+    half_step, signed = 0.5 * step, np.asarray(signs, dtype=float) * step
+    table = np.empty((len(step), 3, width + width % 2))[..., :width]
+    table[...] = np.stack((0.5 * signed, signed, signed / 6.0), axis=1)
+    domain_steps = table.transpose(2, 0, 1).tolist() if width <= _NARROW else [tuple(x) for x in table]
+    n_steps = len(step) * n
+    block = max(1, min(_BLOCK, _CELLS // max(width, 1), n_steps))
     kappa_a, kappa_b, dk_a, dk_b = (
         np.broadcast_to(np.asarray(x, dtype=float), width) for x in (kappa_a, kappa_b, dk_a, dk_b)
     )
@@ -311,9 +326,9 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     # z after 0..m steps of a block (row 0 is the current z), the block's
     # start, then its midpoint and end positions interleaved, and the fields
     # after each step
-    ends = np.zeros((_BLOCK + 1, width))
-    points = np.empty((2 * _BLOCK + 1, width))
-    block_fields = np.empty((_BLOCK, 3, width), dtype=complex)
+    ends = np.zeros((block + 1, width))
+    points = np.empty((2 * block + 1, width))
+    block_fields = np.empty((block, 3, width), dtype=complex)
 
     def derivs(c, out):
         # the stage input is already in the field rows
@@ -329,55 +344,54 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     n0 = flux(a)
     worst = np.zeros(width)
     zs = samples = None
-    k = 0
     if trajectory:
-        zs = np.zeros((1 + h_all.shape[0] * n, width))
+        zs = np.zeros((1 + n_steps, width))
         samples = np.empty((zs.shape[0], 3, width), dtype=complex)
         samples[0] = a
-    for s, h in zip(signs, h_all):
-        c = s * coupling
-        half, sixth = 0.5 * h, h / 6.0
-        for start in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - start)
-            z, pts = ends[: m + 1], points[: 2 * m + 1]
-            z[1:] = h
-            np.add.accumulate(z, axis=0, out=z)
-            pts[0] = z[0]
-            np.add(z[:-1], half, out=pts[1::2])
-            pts[2::2] = z[1:]
-            e = np.exp(phase * pts[:, None, :]).take(_LEGS, axis=1)
-            np.conjugate(e[:, 2::2], out=e[:, 2::2])
-            ce = c * e
-            rows = samples[k + 1 : k + 1 + m] if trajectory else block_fields[:m]
-            if width <= _NARROW:
-                for j, (step, coefficients) in enumerate(zip(h.tolist(), ce.transpose(2, 0, 1).tolist())):
-                    rows[:, :, j] = column = _column_steps(a[:, j].tolist(), step, coefficients)
-                    a[:, j] = column[-1]
-            else:
-                for row, c_start, c_mid, c_end in zip(rows, ce[0::2], ce[1::2], ce[2::2]):
-                    stage[...] = a
-                    derivs(c_start, k1)
-                    np.multiply(half, k1, out=stage)
-                    stage += a
-                    derivs(c_mid, k2)
-                    np.multiply(half, k2, out=stage)
-                    stage += a
-                    derivs(c_mid, k3)
-                    np.multiply(h, k3, out=stage)
-                    stage += a
-                    derivs(c_end, k4)
-                    k2 += k3
-                    k2 *= 2.0
-                    k2 += k1
-                    k2 += k4
-                    k2 *= sixth
-                    a += k2
-                    row[...] = a
-            if trajectory:
-                zs[k + 1 : k + 1 + m] = z[1:]
-            k += m
-            ends[0] = z[-1]
-            np.maximum(worst, np.abs(flux(rows) - n0).max(axis=0), out=worst)
+    for k in range(0, n_steps, block):
+        m = min(block, n_steps - k)
+        z, pts = ends[: m + 1], points[: 2 * m + 1]
+        index = np.arange(k, k + m) // n  # the domain of each step
+        z[1:] = step[index]
+        np.add.accumulate(z, axis=0, out=z)
+        pts[0] = z[0]
+        np.add(z[:-1], half_step[index], out=pts[1::2])
+        pts[2::2] = z[1:]
+        e = np.exp(phase * pts[:, None, :]).take(_LEGS, axis=1)
+        np.conjugate(e[:, 2::2], out=e[:, 2::2])
+        ce = coupling * e
+        rows = samples[k + 1 : k + 1 + m] if trajectory else block_fields[:m]
+        step_domains = index.tolist()
+        if width <= _NARROW:
+            for j, (column_steps, coefficients) in enumerate(zip(domain_steps, ce.transpose(2, 0, 1).tolist())):
+                column = _column_steps(a[:, j].tolist(), [column_steps[d] for d in step_domains], coefficients)
+                rows[:, :, j] = np.fromiter(column, complex, 3 * m).reshape(m, 3)
+                a[:, j] = column[-3:]
+        else:
+            for row, c_start, c_mid, c_end, d in zip(rows, ce[0::2], ce[1::2], ce[2::2], step_domains):
+                half, h, sixth = domain_steps[d]
+                stage[...] = a
+                derivs(c_start, k1)
+                np.multiply(half, k1, out=stage)
+                stage += a
+                derivs(c_mid, k2)
+                np.multiply(half, k2, out=stage)
+                stage += a
+                derivs(c_mid, k3)
+                np.multiply(h, k3, out=stage)
+                stage += a
+                derivs(c_end, k4)
+                k2 += k3
+                k2 *= 2.0
+                k2 += k1
+                k2 += k4
+                k2 *= sixth
+                a += k2
+                row[...] = a
+        if trajectory:
+            zs[k + 1 : k + 1 + m] = z[1:]
+        ends[0] = z[-1]
+        np.maximum(worst, np.abs(flux(rows) - n0).max(axis=0), out=worst)
     drift = np.divide(worst, n0, out=np.zeros(width), where=n0 > 0)
     if not (np.isfinite(a).all() and np.isfinite(drift).all()):
         raise DivergenceError("RK4 integration diverged: an exit field or the photon flux is not finite")
@@ -483,39 +497,27 @@ def calibrate_thresholds(
     The logic inputs make three distinct pumps (2A, 0 and -2A for beam
     amplitude A).  Only 2A is propagated: (a1, a2, a3) -> (-a1, a2, -a3)
     maps solutions to solutions exactly in floating point, so -2A exits
-    with bitwise the powers of 2A, and 0 stays exactly 0.  Each threshold
-    sits at the geometric mean of its channel's bright level p and the
-    dark floor p * DARK_FLOOR_RATIO, which stands in for the dark level 0;
-    the separation is p over that floor.  Raises CalibrationError when a
-    bright level is so small that its floor underflows to 0 (beam
-    amplitude below about 1e-75 on the default crystal), and when a bright
-    level is 0, as every TH level is without SFG coupling (kappa_b = 0).
-    Thresholds are only valid for this beam amplitude; changing the
-    amplitude requires recalibration.
+    with bitwise the powers of 2A, and 0 stays exactly 0.  A gate thus
+    reads right if and only if its threshold lies in (0, p], p the bright
+    level of its channel.  Each threshold is p * 1e-15, the geometric mean
+    of p and a dark floor p * 1e-30 in exact arithmetic, and the separation
+    (p / threshold) ** 2 is p over that floor, finite and at most about 4e30.
+    Raises CalibrationError if and only if a threshold is 0: a bright level
+    is 0 (every TH level without SFG, kappa_b = 0) or below about 2.5e-309
+    (the TH level at beam amplitudes below about 3e-51 on the default
+    crystal).  Thresholds are only valid for this beam amplitude.
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
 
     final = propagate_many([(FieldTriple(2.0 * beam_amplitude, 0.0, 0.0), grid, params)], steps_per_domain)[0]
     p2, p3 = (float(x) for x in np.abs(final[1:, 0]) ** 2)
-    for p in (p2, p3):
-        if p > 0.0 and p * DARK_FLOOR_RATIO == 0.0:
-            raise CalibrationError(
-                f"logic levels underflow: dark floor {DARK_FLOOR_RATIO:g} x bright level {p:.3e} is 0; "
-                "use a larger beam_amplitude"
-            )
-    if p2 == 0.0 or p3 == 0.0:
+    p_th2, p_th3 = p2 * 1e-15, p3 * 1e-15
+    if p_th2 == 0.0 or p_th3 == 0.0:
         raise CalibrationError(
             f"logic levels not separable: SH bright={p2:.3e} dark=0.000e+00, TH bright={p3:.3e} dark=0.000e+00"
         )
-    return LogicThresholds(
-        p_th2=math.sqrt(p2 * (p2 * DARK_FLOOR_RATIO)),
-        p_th3=math.sqrt(p3 * (p3 * DARK_FLOOR_RATIO)),
-        separation_sh=p2 / (p2 * DARK_FLOOR_RATIO),
-        separation_th=p3 / (p3 * DARK_FLOOR_RATIO),
-        p2=p2,
-        p3=p3,
-    )
+    return LogicThresholds(p_th2, p_th3, (p2 / p_th2) ** 2, (p3 / p_th3) ** 2, p2, p3)
 
 
 def calibrated_gate(inputs, cal: LogicThresholds):

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -200,6 +199,29 @@ def test_deterministic_outputs_byte_identical(tmp_path):
         assert cli.main(["run", "--config", cfg]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_csv_payload_is_byte_identical_to_value_by_value():
+    # the reference: each value on its own, floats as .17g and anything else as str
+    def reference(payload):
+        def value(v):
+            return format(v, ".17g") if isinstance(v, float) else str(v)
+
+        return "".join(",".join(map(value, row)) + "\n" for row in [payload["columns"], *payload["rows"]])
+
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        [0.1 + 0.2, 1e22, -0.0, 5e-324, 1.7976931348623157e308],
+        [nan, inf, -inf, np.float64(0.1), np.float64(nan)],
+        # shots up to 2**63 - 1, which %.17g would round
+        [1, 2**63 - 1, -(2**63), np.int64(7), 123456789012345678],
+        [True, False, "not", "%s%%", None],
+        [1, 2.5, "x", 3.0, True],
+        [2.5, 1, 3.0, "x", False],
+        [],
+    ]
+    payload = {"columns": ["a", "b", "c", "d", "e"], "rows": rows}
+    assert cli.payload_csv(payload) == reference(payload)
 
 
 def test_truthtable_command_passes(capsys):
@@ -598,7 +620,7 @@ def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, p
         }),
         ("run", {"backend": "rds", "parameters": {"kappa_a": 1e200, "gate": "not"}}),
         ("run", {"backend": "rds", "parameters": {"beam_amplitude": 1e200, "gate": "cnot"}}),
-        # the bright levels are so small that their 1e-30 dark floors underflow to 0
+        # the TH bright level underflows to 0, so its threshold is 0
         ("run", {"backend": "rds", "parameters": {"gate": "not", "beam_amplitude": 1e-75}}),
         ("run", {"backend": "rds", "parameters": {"gate": "cnot", "beam_amplitude": 1e-80}}),
     ],
@@ -715,8 +737,8 @@ def test_rds_gate_columns_are_read_from_the_bright_levels(tmp_path, capsys, gate
     p = rds.default_params()
     final = rds.propagate_many([(rds.FieldTriple(2 * amplitude, 0.0, 0.0), rds.default_grid(p), p)])[0]
     bright = float(abs(final[1 if gate == "not" else 2, 0]) ** 2)
-    floor = bright * rds.DARK_FLOOR_RATIO
-    expected = [min(bright / floor, cli.MARGIN_CAP), math.sqrt(bright * floor)]
+    threshold = bright * 1e-15
+    expected = [(bright / threshold) ** 2, threshold]
     assert expected[1] > 0.0
     table = cli.NOT_TABLE if gate == "not" else cli.CNOT_TABLE
     rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]

@@ -353,6 +353,30 @@ def test_cnot_needs_sfg_coupling(calibrated):
         rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
 
 
+@pytest.mark.parametrize("kappa_b", [1.0, 1e-3])
+def test_tiny_beams_read_the_right_table_or_fail_calibration(kappa_b):
+    # the bright levels fall as A^4 (SH) and A^6 (TH) down to 0; a threshold
+    # that underflowed to 0 would read the dark level 0 as bright
+    p = rds.CoupledModeParams(1.0, kappa_b, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
+    grid = rds.default_grid(p)
+    calibrated = 0
+    for k in range(81):
+        try:
+            cal = rds.calibrate_thresholds(grid, p, 10.0**-k)
+        except rds.CalibrationError:
+            final = rds.propagate_many([(rds.FieldTriple(2 * 10.0**-k, 0.0, 0.0), grid, p)])[0]
+            assert np.min(np.abs(final[1:, 0]) ** 2) < 2.5e-309, k
+            continue
+        calibrated += 1
+        assert 0.0 < cal.p_th2 <= cal.p2 and 0.0 < cal.p_th3 <= cal.p3, k
+        assert min(cal.separation_sh, cal.separation_th) >= 2.0, k
+        assert max(cal.separation_sh, cal.separation_th) < 5e30, k
+        assert {(x,): rds.calibrated_gate((x,), cal) for x in (0, 1)} == cli.NOT_TABLE, k
+        assert {x: rds.calibrated_gate(x, cal) for x in cli.CNOT_TABLE} == cli.CNOT_TABLE, k
+    # the TH level underflows to a zero threshold below A of about 3e-51
+    assert calibrated >= 40
+
+
 @pytest.mark.parametrize(
     "kappa_a,a1",
     # a1 = 1e155 is finite, but |a1|^2 is not: Python's abs() and ** raise OverflowError there
@@ -606,8 +630,10 @@ def test_long_domain_blocks_match_scalar_reference():
     assert np.max(np.abs(traj.fields - refs[0].fields)) <= 1e-12 * 0.2
 
 
-@pytest.mark.parametrize("width", [1, 9])
+@pytest.mark.parametrize("width", [1, 9, 81])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, width):
+    # 4 domains of 150 steps: blocks of 5 and 7 steps start and end inside
+    # domains, and one block runs through the whole crystal
     rng = np.random.default_rng(5)
     fields = 0.1 * (rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)))
     signs = rng.choice([-1.0, 1.0], size=(4, width))
@@ -616,18 +642,30 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, width):
     couplings, mismatches = rng.uniform(0.5, 2.0, size=(2, width)), rng.uniform(2e3, 8e3, size=(2, width))
     args = (fields, signs, lengths, 150, *couplings, *mismatches)
 
-    def run(block):
+    def run(block, cells):
         monkeypatch.setattr(rds, "_BLOCK", block)
-        return [x.tobytes() for x in rds.rk4(*args, trajectory=True)]
+        monkeypatch.setattr(rds, "_CELLS", cells)
+        return [x.tobytes() for x in rds.rk4(*args, trajectory=True)] + [rds.rk4(*args)[1].tobytes()]
 
-    default = run(rds._BLOCK)
-    for block in (1, 5):
-        assert run(block) == default, block
+    default = run(rds._BLOCK, rds._CELLS)
+    for block in (1, 5, 7, 4 * 150 + 1):
+        assert run(block, block * width) == default, block
+
+
+def test_trajectory_positions_across_mixed_sign_domains():
+    # unequal domains of signs + + - + - -, 70 steps each: blocks cross
+    # every boundary, and z stays the reference's running sum bit for bit
+    p = rds.CoupledModeParams(kappa_a=1.3, kappa_b=0.7, dk_a=5e3, dk_b=-7e3)
+    grid = rds.DomainGrid(np.array([3e-4, 5e-4, 2e-4, 6e-4, 4e-4, 1e-4]), np.array([1.0, 1, -1, 1, -1, -1]))
+    fields = rds.FieldTriple(0.2 - 0.1j, 0.05j, 0.02)
+    traj = rds.propagate(fields, grid, p, 70)
+    ref = reference_propagate(fields, grid, p, 70)
+    assert traj.z.tobytes() == ref.z.tobytes()
+    assert np.max(np.abs(traj.fields - ref.fields)) <= 1e-12 * 0.3
 
 
 def test_kernel_memory_does_not_grow_with_domain_steps():
-    def peak(n_steps, width):
-        cases = (long_domain_cases() * width)[:width]
+    def peak(cases, n_steps):
         tracemalloc.start()
         try:
             rds.propagate_many(cases, n_steps)
@@ -636,6 +674,13 @@ def test_kernel_memory_does_not_grow_with_domain_steps():
             tracemalloc.stop()
 
     # a kernel that kept every step's (3, 2) complex fields would grow by
-    # 3,000 steps x 96 B = 288,000 B, 4.4 times the bound; wider ones by more
+    # 3,000 steps x 96 B = 288,000 B, 4.4 times the bound, and one that kept
+    # a per-step table of h / 2, h and h / 6 by 144,000 B; wider ones by more
+    p = rds.default_params()
+    four_domains = rds.DomainGrid(np.full(4, LONG_DOMAIN / 4), np.array([1.0, -1.0, -1.0, 1.0]))
     for width in (2, WIDE):
-        assert abs(peak(4_000, width) - peak(1_000, width)) < 64 * 1024, width
+        long_domain = (long_domain_cases() * width)[:width]
+        assert abs(peak(long_domain, 4_000) - peak(long_domain, 1_000)) < 64 * 1024, width
+        # the same step counts, in blocks that cross domain boundaries
+        cases = [(fields, four_domains, p) for fields, _, _ in long_domain]
+        assert abs(peak(cases, 1_000) - peak(cases, 250)) < 64 * 1024, width
