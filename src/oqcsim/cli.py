@@ -11,6 +11,7 @@ config + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -626,6 +627,7 @@ def cmd_version(args):
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, then reused: parse_args leaves a parser as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="oqcsim", description="Deterministic quantum-gate simulation harness"

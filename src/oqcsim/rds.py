@@ -16,23 +16,15 @@ One kernel, `rk4`, integrates a batch of B independent beams, a (3, B)
 complex array, through D domains of steps_per_domain steps each: the
 domain signs and lengths, couplings and mismatches may differ per column,
 and a zero-length domain leaves a column's fields as they are.  The
-domain sign rides on the step size (RK4 of s f with step h is RK4 of f
-with step s h, bit for bit), so the steps run in blocks that cross domain
-boundaries: at most 128 steps and about 1,300 field cells (steps x
-columns) each.  Per block, one np.exp gives e^{i dkA z} and e^{i dkB z}
-at the block's start and at every midpoint and step end, the other three
-phase factors being their conjugates (2 exps per point), and the photon
-flux N of the whole block is checked at once.  It keeps a running max of
-|N - N0| per column over every step (the Manley-Rowe drift), and writes a
-(K, 3, B) trajectory only when asked.  A non-finite exit field or flux
-raises DivergenceError.  The steps themselves have two bodies, chosen by
-the batch width: up to _NARROW columns they run column by column on
-Python complex scalars, where a numpy step would cost its 34 calls'
-dispatch; wider batches run the numpy step on all columns at once.
-`propagate` is the batch of one, with its trajectory.
-`propagate_many` pads shorter grids with zero-length domains and makes
-one kernel call for any list of cases, so every sweep is a single
-integration.
+domain sign rides on the step size, so the steps run in blocks that cross
+domain boundaries, each with one table of phase factors (one column of
+it for parallel beams through one crystal) and one photon-flux check for
+the Manley-Rowe drift.  Up to _NARROW columns step one by one on Python
+complex scalars, wider batches all at once on numpy ufuncs; rk4's
+docstring has the details.  `propagate` is the batch of one, with its
+trajectory.  `propagate_many` pads shorter grids with zero-length domains
+and makes one kernel call for any list of cases, so every sweep is a
+single integration.
 
 Logic gates use phase coding: a bit b enters as an amplitude factor
 (-1)**b, interfered with an equal zero-phase bias beam, and the gate
@@ -86,7 +78,7 @@ class DomainGrid:
             raise ValueError("lengths and signs must have equal shape")
         if not np.all((lengths > 0.0) & np.isfinite(lengths)):
             raise ValueError("all domain lengths must be positive and finite")
-        if not np.all(np.isin(signs, (1.0, -1.0))):
+        if not np.all(np.abs(signs) == 1.0):
             raise ValueError("domain signs must be +1 or -1")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "signs", signs)
@@ -178,23 +170,23 @@ def make_periodic_grid(total_length: float, domain_length: float) -> DomainGrid:
         raise ValueError(f"domain count {total_length} / {domain_length} is not finite")
     n_full = int(total_length / domain_length)
     remainder = total_length - n_full * domain_length
-    lengths = [domain_length] * n_full
-    if remainder > 1e-12 * total_length:
-        lengths.append(remainder)
-    signs = [(-1) ** i for i in range(len(lengths))]
-    return DomainGrid(np.array(lengths), np.array(signs, dtype=float))
+    lengths = np.full(n_full + (remainder > 1e-12 * total_length), domain_length)
+    lengths[n_full:] = remainder
+    signs = np.ones(lengths.size)
+    signs[1::2] = -1.0
+    return DomainGrid(lengths, signs)
 
 
 # The right-hand side is five coupling terms, each a product of two field
-# factors: conj(a1) a2, conj(a2) a3 | a1 a1, conj(a1) a3 | a1 a2, summed
-# in pairs into da1, da2 | da3.  Rows 0-2 of the factor table hold the
-# conjugated fields, rows 3-5 the fields.  The term buffer has a sixth row
-# of -0, the exact additive identity, so da3 is t4 + (-0) = t4 bit for bit.
-_FACTORS = np.array([0, 1, 3, 0, 3, 4, 5, 3, 5, 4])
+# factors (rows 0-2 of the factor table hold the conjugated fields, rows
+# 3-5 the fields): conj(a1) a2, a1 a1, a1 a2 | conj(a2) a3, conj(a1) a3,
+# added row by row into da1, da2, da3.  The term buffer's sixth row is -0,
+# the exact additive identity, so da3 is a1 a2 + (-0) = a1 a2 bit for bit.
+_FACTORS = np.array([0, 3, 3, 1, 0, 4, 3, 4, 5, 5])
 _FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
-# The five terms' phase factors e^{i dk z} are e^{i dkA z}, e^{i dkB z} and
-# the conjugates of e^{i dkA z}, e^{i dkB z}, e^{i dkB z} (rows 2 and 4).
-_LEGS = np.array([0, 1, 0, 1, 1])
+# The five terms' phase factors e^{i dk z} are e^{i dkA z}, the conjugates
+# of e^{i dkA z} and e^{i dkB z} (rows 1 and 2), and e^{i dkB z} twice.
+_LEGS = np.array([0, 0, 1, 1, 1])
 # Steps per block, and field cells (steps x columns) per block, at most:
 # each block makes one phase table and one flux check, and a wide batch's
 # tables stay cache-sized (16 steps at 81 columns measured fastest there).
@@ -205,21 +197,27 @@ _CELLS = 1296
 _NARROW = 6
 
 
+def _same_bits(x):
+    """Whether every column of x (last axis) has the bits of the first."""
+    return bool((x.view(np.int64) == x[..., :1].view(np.int64)).all())
+
+
 def _column_steps(fields, steps, coefficients):
     """One column's RK4 steps through a block, on Python complex scalars.
 
     fields is the column's [a1, a2, a3] and steps its [h / 2, h, h / 6]
     per step, h signed by the step's domain.  coefficients holds the five
-    terms' coupling coefficients at the block's start and then at every
-    step's midpoint and end, interleaved.  The expressions and their order
-    are those of rk4's numpy step body.  Uses no abs() or **, which raise
-    OverflowError on huge finite values: a diverging column turns inf or
-    nan, as in numpy.  Returns a1, a2, a3 after each step, in one list.
+    terms' coupling coefficients, in the order of rk4's term rows, at the
+    block's start and then at every step's midpoint and end, interleaved.
+    The expressions and their order are those of rk4's numpy step body.
+    Uses no abs() or **, which raise OverflowError on huge finite values: a
+    diverging column turns inf or nan, as in numpy.  Returns a1, a2, a3
+    after each step, in one list.
     """
     x1, x2, x3 = fields
-    p0, q0, r0, s0, t0 = coefficients[0]
+    p0, r0, t0, q0, s0 = coefficients[0]
     rows = []
-    for (half, h, sixth), (p1, q1, r1, s1, t1), end in zip(steps, coefficients[1::2], coefficients[2::2]):
+    for (half, h, sixth), (p1, r1, t1, q1, s1), end in zip(steps, coefficients[1::2], coefficients[2::2]):
         b1 = x1.conjugate()
         k11 = b1 * x2 * p0 + x2.conjugate() * x3 * q0
         k12 = x1 * x1 * r0 + b1 * x3 * s0
@@ -235,7 +233,7 @@ def _column_steps(fields, steps, coefficients):
         k32 = y1 * y1 * r1 + b1 * y3 * s1
         k33 = y1 * y2 * t1
         y1, y2, y3 = h * k31 + x1, h * k32 + x2, h * k33 + x3
-        p0, q0, r0, s0, t0 = end
+        p0, r0, t0, q0, s0 = end
         b1 = y1.conjugate()
         k41 = b1 * y2 * p0 + y2.conjugate() * y3 * q0
         k42 = y1 * y1 * r0 + b1 * y3 * s0
@@ -270,19 +268,22 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     their conjugates, and the photon flux N of the whole block is then
     checked for the Manley-Rowe drift.  The positions are running sums of
     the unsigned steps, bitwise those of z += h, so no output depends on
-    where the blocks end.
+    where the blocks end.  Parallel beams through one crystal (every column
+    with the bits of the first in its steps, dk_a and dk_b, as in a
+    beam_amplitude or kappa_a sweep) share z and the phase factors as one
+    column, broadcast into the coupling table.
 
     A batch of at most _NARROW columns steps each column through the block
     on Python scalars (_column_steps), reading its steps and its
     phase-and-coupling table as lists.  Wider batches step all columns at
-    once with numpy ufuncs into buffers allocated once per call; the rows
-    of the per-domain table are padded to an even length, so that each
-    starts 16-byte aligned (a misaligned row costs the width-81 step 3-7%).
-    At width 1 a step costs about 4 us on scalars against 30-50 us of numpy
-    dispatch, and the numpy step wins from about 8 columns up (_NARROW is
-    the measured crossover).  The two bodies evaluate the same expressions
-    in the same order, but numpy's SIMD complex multiply fuses a product
-    into an add, so they agree to about 1e-16 relative, not bitwise.
+    once with numpy ufuncs into buffers allocated once per call: da1, da2,
+    da3 is one add of two contiguous blocks of term rows, and the signed
+    steps are complex rows, which no multiply has to cast to x + 0j.  A step
+    costs about 4 us on scalars against 30-50 us of numpy dispatch at width
+    1, and numpy wins from about 7 columns up (_NARROW is the measured
+    crossover).  The two bodies evaluate the same expressions in the same
+    order, but numpy's SIMD complex multiply fuses a product into an add,
+    so they agree to about 1e-16 relative, not bitwise.
 
     Returns (final, drift, z, samples): the (3, B) exit fields, the (B,)
     drift max |N - N0| / N0 over every step (0 where N0 = 0), and, only
@@ -298,22 +299,27 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     n = int(steps_per_domain)
     a = np.array(fields, dtype=complex)
     width = a.shape[1]
-    # each domain's h and h / 2, which advance z, and its signed s h / 2, s h
-    # and s h / 6, which step the fields: Python floats per column for the
-    # scalar body, views of rows padded to an even length for the numpy body
-    step = np.asarray(lengths, dtype=float) / n
-    half_step, signed = 0.5 * step, np.asarray(signs, dtype=float) * step
-    table = np.empty((len(step), 3, width + width % 2))[..., :width]
-    table[...] = np.stack((0.5 * signed, signed, signed / 6.0), axis=1)
-    domain_steps = table.transpose(2, 0, 1).tolist() if width <= _NARROW else [tuple(x) for x in table]
-    n_steps = len(step) * n
-    block = max(1, min(_BLOCK, _CELLS // max(width, 1), n_steps))
     kappa_a, kappa_b, dk_a, dk_b = (
         np.broadcast_to(np.asarray(x, dtype=float), width) for x in (kappa_a, kappa_b, dk_a, dk_b)
     )
+    # each domain's signed s h / 2, s h and s h / 6, which step the fields:
+    # Python floats per column for the scalar body, complex rows for numpy
+    step = np.asarray(lengths, dtype=float) / n
+    signed = np.asarray(signs, dtype=float) * step
+    narrow = width <= _NARROW
+    table = np.empty((len(step), 3, width), dtype=float if narrow else complex)
+    table[...] = np.stack((0.5 * signed, signed, signed / 6.0), axis=1)
+    domain_steps = table.transpose(2, 0, 1).tolist() if narrow else [tuple(x) for x in table]
+    # each domain's h and h / 2, which advance z: one column if all columns
+    # have the same bits there and in dk (0.0 and -0.0 differ)
+    if all(_same_bits(x) for x in (step, dk_a, dk_b)):
+        step, dk_a, dk_b = step[:, :1], dk_a[:1], dk_b[:1]
+    half_step, columns = 0.5 * step, step.shape[1]
+    n_steps = len(step) * n
+    block = max(1, min(_BLOCK, _CELLS // max(width, 1), n_steps))
     # i dk of e^{i dkA z} and e^{i dkB z}, and i kappa per coupling term
     phase = 1j * np.array([dk_a, dk_b])
-    coupling = 1j * np.array([kappa_a, kappa_b, 0.5 * kappa_a, kappa_b, kappa_b])
+    coupling = 1j * np.array([kappa_a, 0.5 * kappa_a, kappa_b, kappa_b, kappa_b])
 
     factors = np.empty((6, width), dtype=complex)
     conj_a, stage = factors[:3], factors[3:]
@@ -321,13 +327,14 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
     left, right = pairs[:5], pairs[5:]
     terms = np.empty((6, width), dtype=complex)
     terms[5] = complex(-0.0, -0.0)
-    products, firsts, seconds = terms[:5], terms[0::2], terms[1::2]
+    products, firsts, seconds = terms[:5], terms[:3], terms[3:]
     k1, k2, k3, k4 = np.empty((4, 3, width), dtype=complex)
     # z after 0..m steps of a block (row 0 is the current z), the block's
-    # start, then its midpoint and end positions interleaved, and the fields
-    # after each step
-    ends = np.zeros((block + 1, width))
-    points = np.empty((2 * block + 1, width))
+    # start, then its midpoint and end positions interleaved, the coupling
+    # coefficients there, and the fields after each step
+    ends = np.zeros((block + 1, columns))
+    points = np.empty((2 * block + 1, columns))
+    couplings = np.empty((2 * block + 1, 5, width), dtype=complex)
     block_fields = np.empty((block, 3, width), dtype=complex)
 
     def derivs(c, out):
@@ -358,11 +365,11 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
         np.add(z[:-1], half_step[index], out=pts[1::2])
         pts[2::2] = z[1:]
         e = np.exp(phase * pts[:, None, :]).take(_LEGS, axis=1)
-        np.conjugate(e[:, 2::2], out=e[:, 2::2])
-        ce = coupling * e
+        np.conjugate(e[:, 1:3], out=e[:, 1:3])
+        ce = np.multiply(coupling, e, out=couplings[: 2 * m + 1])
         rows = samples[k + 1 : k + 1 + m] if trajectory else block_fields[:m]
         step_domains = index.tolist()
-        if width <= _NARROW:
+        if narrow:
             for j, (column_steps, coefficients) in enumerate(zip(domain_steps, ce.transpose(2, 0, 1).tolist())):
                 column = _column_steps(a[:, j].tolist(), [column_steps[d] for d in step_domains], coefficients)
                 rows[:, :, j] = np.fromiter(column, complex, 3 * m).reshape(m, 3)

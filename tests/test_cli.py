@@ -569,6 +569,31 @@ def test_runner_value_error_is_a_bug_not_a_config_error(tmp_path, monkeypatch):
         cli.main(["run", "--config", cfg])
 
 
+def test_one_parser_serves_consecutive_calls(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: no call may leave a value for the next
+    seeds = []
+
+    def recording(parsed, seed):
+        seeds.append(seed)
+        return run(parsed, seed)
+
+    parse, run, *rest = cli.BACKENDS["stats"]
+    monkeypatch.setitem(cli.BACKENDS, "stats", (parse, recording, *rest))
+    cfg = write_config(tmp_path, "stats.json", {"backend": "stats", "seed": 7})
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["run", "--config", cfg, "--seed", "5"]) == 0
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert seeds == [5, 7]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus", "--config", cfg])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert seeds == [5, 7, 7]
+    out = capsys.readouterr().out
+    assert out.startswith("alpha_re,") and out.count("\n") == 2
+
+
 def test_gate_builder_type_error_is_a_bug_not_a_failed_gate(monkeypatch):
     def broken():
         raise TypeError("a library bug")

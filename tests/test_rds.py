@@ -159,6 +159,33 @@ def test_grid_validation():
             rds.DomainGrid(np.array([1.0, length]), np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("sign", [math.nan, math.inf, -math.inf, 0.0, -0.0, 2.0])
+def test_grid_rejects_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        rds.DomainGrid(np.array([1.0, 1.0]), np.array([1.0, sign]))
+
+
+def test_periodic_grid_is_bitwise_the_list_built_grid():
+    # the arrays make_periodic_grid built from Python lists, one domain at a time
+    def list_built(total_length, domain_length):
+        n_full = int(total_length / domain_length)
+        remainder = total_length - n_full * domain_length
+        lengths = [domain_length] * n_full
+        if remainder > 1e-12 * total_length:
+            lengths.append(remainder)
+        return np.array(lengths), np.array([(-1) ** i for i in range(len(lengths))], dtype=float)
+
+    partial = 0
+    for n in range(1, 301):
+        domain_length = rds.qpm_domain_length(2 * math.pi * (500 + 7 * n))
+        for extra in (0.0, 0.37):
+            grid = rds.make_periodic_grid((n + extra) * domain_length, domain_length)
+            lengths, signs = list_built((n + extra) * domain_length, domain_length)
+            assert grid.lengths.tobytes() == lengths.tobytes() and grid.signs.tobytes() == signs.tobytes(), (n, extra)
+            partial += grid.n_domains > n
+    assert partial >= 300  # every grid with extra = 0.37 ends in a remainder domain
+
+
 def test_grid_file_roundtrip(tmp_path):
     periodic = rds.make_periodic_grid(1.0, 0.3)
     grid = DomainGrid(periodic.lengths, -periodic.signs)  # first domain negative
@@ -633,23 +660,69 @@ def test_long_domain_blocks_match_scalar_reference():
 @pytest.mark.parametrize("width", [1, 9, 81])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, width):
     # 4 domains of 150 steps: blocks of 5 and 7 steps start and end inside
-    # domains, and one block runs through the whole crystal
+    # domains, and one block runs through the whole crystal; on a grid and
+    # mismatches per column, and on one grid and mismatches that every
+    # column shares by value, which take one phase table
     rng = np.random.default_rng(5)
     fields = 0.1 * (rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)))
     signs = rng.choice([-1.0, 1.0], size=(4, width))
     lengths = rng.uniform(2e-4, 6e-4, size=(4, width))
     lengths[-1, 0] = 0.0  # a padded zero-length domain
     couplings, mismatches = rng.uniform(0.5, 2.0, size=(2, width)), rng.uniform(2e3, 8e3, size=(2, width))
-    args = (fields, signs, lengths, 150, *couplings, *mismatches)
+    per_column = (fields, signs, lengths, 150, *couplings, *mismatches)
+    grid = np.repeat(rng.uniform(2e-4, 6e-4, size=(4, 1)), width, axis=1)
+    one_grid = (fields, signs, grid, 150, *couplings, *np.repeat(mismatches[:, :1], width, axis=1))
 
-    def run(block, cells):
+    def run(args, block, cells):
         monkeypatch.setattr(rds, "_BLOCK", block)
         monkeypatch.setattr(rds, "_CELLS", cells)
         return [x.tobytes() for x in rds.rk4(*args, trajectory=True)] + [rds.rk4(*args)[1].tobytes()]
 
-    default = run(rds._BLOCK, rds._CELLS)
-    for block in (1, 5, 7, 4 * 150 + 1):
-        assert run(block, block * width) == default, block
+    for args in (per_column, one_grid):
+        default = run(args, rds._BLOCK, rds._CELLS)
+        for block in (1, 5, 7, 4 * 150 + 1):
+            assert run(args, block, block * width) == default, block
+
+
+@pytest.mark.parametrize("trajectory", [False, True])
+@pytest.mark.parametrize("width", [7, 9, 81])
+def test_one_shared_phase_table_matches_a_table_per_column(monkeypatch, width, trajectory):
+    # width beams through one crystal, each column holding the grid and
+    # mismatches by value, take one phase table; forced to take a table per
+    # column, they must give the same bytes.  (A batch one column wider
+    # would not do: the flux matmul may round a column's drift differently
+    # at another batch width.)
+    rng = np.random.default_rng(7)
+    p = rds.default_params()
+    grid = rds.make_periodic_grid(10.4 * rds.qpm_domain_length(p.dk_a), rds.qpm_domain_length(p.dk_a))
+    fields = 0.2 * (rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)))
+    signs = grid.signs[:, None] * rng.choice([-1.0, 1.0], size=width)
+    lengths = np.repeat(grid.lengths[:, None], width, axis=1)
+    couplings = rng.uniform(0.5, 2.0, size=(2, width))
+    args = (fields, signs, lengths, 16, *couplings, np.full(width, p.dk_a), np.full(width, p.dk_b))
+    assert all(rds._same_bits(x) for x in (lengths, *args[-2:]))
+    shared = rds.rk4(*args, trajectory=trajectory)
+    monkeypatch.setattr(rds, "_same_bits", lambda x: False)
+    each = rds.rk4(*args, trajectory=trajectory)
+    assert [None if x is None else x.tobytes() for x in shared] == [None if x is None else x.tobytes() for x in each]
+
+
+def test_signed_zero_mismatches_are_not_one_shared_phase_table():
+    # dk_b = 0.0 and -0.0 are equal numbers with different bits: a batch of
+    # both takes a phase table per column, and each column has the bytes of
+    # the uniform batch of its own sign
+    width = 8
+    rng = np.random.default_rng(8)
+    fields = 0.1 * (rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)))
+    signs = rng.choice([-1.0, 1.0], size=(6, width))
+    lengths = np.full((6, width), 3e-4)
+    mixed = np.where(np.arange(width) % 3 == 0, -0.0, 0.0)
+    assert not rds._same_bits(mixed)
+    outputs = rds.rk4(fields, signs, lengths, 8, 1.3, 0.7, 4e3, mixed, trajectory=True)
+    for zero in (0.0, -0.0):
+        uniform = rds.rk4(fields, signs, lengths, 8, 1.3, 0.7, 4e3, np.full(width, zero), trajectory=True)
+        for j in np.flatnonzero(np.signbit(mixed) == np.signbit(zero)):
+            assert [x[..., j].tobytes() for x in outputs] == [x[..., j].tobytes() for x in uniform], (zero, j)
 
 
 def test_trajectory_positions_across_mixed_sign_domains():
