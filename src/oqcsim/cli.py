@@ -219,25 +219,27 @@ def _parse_spin(params):
     return q
 
 
-def _spin_gate(q, gate):
-    """Pulse segments of a configured spin gate and its permutation oracle."""
-    if gate == "not":
-        return spin.compile_not(q["target"]), not_permutation(2, q["target"])
-    c, t = q["control"], q["target"]
-    return spin.compile_cnot(c, t, q["j12"]), cnot_permutation(2, c, t)
+# gate -> (its pulse segments, its permutation oracle), each read from the parsed spin keys
+_SPIN_GATES = {
+    "not": (lambda q: spin.compile_not(q["target"]), lambda q: not_permutation(2, q["target"])),
+    "cnot": (
+        lambda q: spin.compile_cnot(q["control"], q["target"], q["j12"]),
+        lambda q: cnot_permutation(2, q["control"], q["target"]),
+    ),
+}
 
 
 def _spin_fidelity(q, gate):
     """Unitary of a configured spin gate and its fidelity to the permutation."""
-    segments, perm = _spin_gate(q, gate)
-    u = spin.sequence_unitary(segments, 2, q["j12"])
-    return u, spin.gate_fidelity(permutation_matrix(perm), u)
+    compile_gate, permutation = _SPIN_GATES[gate]
+    u = spin.sequence_unitary(compile_gate(q), 2, q["j12"])
+    return u, spin.gate_fidelity(permutation_matrix(permutation(q)), u)
 
 
 def run_spin(q, seed):
     state = spin.SpinState.basis(q["initial"])
     if q["gate"] is not None:
-        state = spin.apply_sequence(state, _spin_gate(q, q["gate"])[0], q["j12"])
+        state = spin.apply_sequence(state, _SPIN_GATES[q["gate"]][0](q), q["j12"])
     columns = ["basis", "re", "im", "probability"]
     rows = [[format(i, "02b"), a.real, a.imag, abs(a) ** 2] for i, a in enumerate(state.amplitudes)]
     if q["shots"] > 0:
@@ -385,7 +387,7 @@ def run_rds(parsed, seed):
         traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
         columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
         return {"columns": columns, "rows": traj.csv_rows(q["sample_stride"])}
-    cal, gates = _rds_gates(parsed)
+    cal, gates = _rds_gates(parsed, (q["gate"].upper(),))
     if q["gate"] == "not":
         columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
     else:
@@ -470,10 +472,10 @@ def _jones_gates():
     return {name: _column_gate(jones.gate_matrix(2, network)) for name, network in networks.items()}
 
 
-def _rds_gates(parsed):
-    """Calibration of a parsed rds config and its threshold gates, the margin their level separation."""
+def _rds_gates(parsed, names=("NOT", "CNOT")):
+    """Calibration of a parsed rds config for the named gates, and its gates, the margin their level separation."""
     p, grid, _, q = parsed
-    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], q["steps_per_domain"])
+    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], q["steps_per_domain"], names)
 
     def gate(separation):
         return lambda inputs: (rds.calibrated_gate(inputs, cal), separation)
@@ -532,8 +534,29 @@ def _stats_sweep(parsed):
 
 
 def _spin_sweep(parsed):
-    """Fidelity of the configured gate, CNOT by default, against its permutation."""
-    return ["fidelity"], [[_spin_fidelity(q, q["gate"] or "cnot")[1]] for q in parsed]
+    """Fidelity of the configured gate, CNOT by default, against its permutation.
+
+    Every row is compiled, so each fails as its run would.  Only j12 varies,
+    so every row has the same gate and permutation, and the rows that share
+    their hard rotations (a CNOT's z-rotations follow the sign of j12) make
+    one propagation.
+    """
+    compile_gate, permutation = _SPIN_GATES[parsed[0]["gate"] or "cnot"]
+    sequences = [compile_gate(q) for q in parsed]
+    groups = {}
+    rotations = None
+    for i, segments in enumerate(sequences):
+        key = tuple(s for s in segments if isinstance(s, spin.HardRotation))
+        if key != rotations:  # equal consecutive keys compare by identity, without hashing
+            rotations, members = key, groups.setdefault(key, [])
+        members.append(i)
+    ideal = permutation_matrix(permutation(parsed[0]))
+    rows = [None] * len(parsed)
+    for members in groups.values():
+        unitaries = spin.sequence_unitaries([sequences[i] for i in members], 2, [parsed[i]["j12"] for i in members])
+        for i, u in zip(members, unitaries):
+            rows[i] = [spin.gate_fidelity(ideal, u)]
+    return ["fidelity"], rows
 
 
 def run_sweep(cfg):

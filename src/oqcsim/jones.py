@@ -8,7 +8,8 @@ Gates are networks of waveplates, rotators and polarizing beam splitters
 acting on classical coherent amplitudes.  A network is applied to a
 batch of registers one layer at a time, a layer being elements on
 disjoint modes, and every amplitude comes out bitwise as it does when
-the elements are applied one by one.
+the elements are applied one by one.  Each plate's Jones matrix is built
+once per process, read-only, keyed by the bits of its angles.
 """
 
 from __future__ import annotations
@@ -117,8 +118,24 @@ def _plate_key(element):
     the matrix, so the angles are keyed by their bit patterns; and by their
     type, since numpy computes a float32 angle's matrix in float32.
     """
-    angles = (element.delta, element.theta) if isinstance(element, Waveplate) else (element.angle,)
-    return (type(element),) + tuple((type(a), float(a).hex()) for a in angles)
+    if isinstance(element, Waveplate):
+        d, t = element.delta, element.theta
+        return type(element), type(d), float(d).hex(), type(t), float(t).hex()
+    a = element.angle
+    return type(element), type(a), float(a).hex()
+
+
+def _valid_modes(modes, n_modes):
+    """Whether modes are distinct indices in [0, n_modes), without a set for the usual one or two.
+
+    Every listed mode is updated at once, so a repeated mode would be rotated once.
+    """
+    if len(modes) == 1:
+        return 0 <= modes[0] < n_modes
+    if len(modes) == 2:
+        a, b = modes
+        return a != b and 0 <= a < n_modes and 0 <= b < n_modes
+    return not modes or (len(set(modes)) == len(modes) and 0 <= min(modes) and max(modes) < n_modes)
 
 
 def check_elements(elements, n_modes):
@@ -129,9 +146,10 @@ def check_elements(elements, n_modes):
             if not (0 <= a < n_modes and 0 <= b < n_modes) or a == b:
                 raise ValueError(f"invalid PBS mode pair ({a}, {b})")
         elif isinstance(element, (Waveplate, Rotator)):
-            modes = list(range(n_modes) if element.modes is None else element.modes)
-            # every listed mode is updated at once, so a repeated mode would be rotated once
-            if len(set(modes)) < len(modes) or not all(0 <= m < n_modes for m in modes):
+            modes = element.modes
+            if modes is None:
+                modes = range(n_modes)
+            elif not _valid_modes(modes, n_modes):
                 raise ValueError(f"invalid mode indices {element.modes} for {n_modes} modes")
         else:
             raise TypeError(f"unknown optical element {element!r}")
@@ -152,7 +170,7 @@ def _layers(elements, n_modes):
     for element, modes in check_elements(elements, n_modes):
         if not modes:
             continue
-        k = 1 + max(last[m] for m in modes)
+        k = 1 + max(map(last.__getitem__, modes))
         if k == len(layers):
             layers.append(([], [], {}))
         swaps_a, swaps_b, plates = layers[k]
@@ -166,6 +184,22 @@ def _layers(elements, n_modes):
     return layers
 
 
+# plate key -> read-only Jones matrix, built once per process
+_PLATES = {}
+_PLATES_MAX = 1024
+
+
+def _plate_matrix(key, element):
+    """The Jones matrix of a waveplate or rotator with this plate key, from the cache."""
+    m = _PLATES.get(key)
+    if m is None:
+        if len(_PLATES) >= _PLATES_MAX:
+            _PLATES.clear()
+        m = _PLATES[key] = element.jones()
+        m.flags.writeable = False
+    return m
+
+
 def _propagate(amps, elements):
     """Apply elements in network order, in place, to a batch of B registers of shape (M, 2, B).
 
@@ -175,14 +209,11 @@ def _propagate(amps, elements):
     mode meets the same products in the same order as element by element,
     so the result is bitwise the same.
     """
-    matrices = {}
     for swaps_a, swaps_b, plates in _layers(elements, amps.shape[0]):
         if swaps_a:
             amps[swaps_a + swaps_b, V] = amps[swaps_b + swaps_a, V]
         for key, (element, modes) in plates.items():
-            if key not in matrices:
-                matrices[key] = element.jones()
-            amps[modes] = matrices[key] @ amps[modes]
+            amps[modes] = _plate_matrix(key, element) @ amps[modes]
     return amps
 
 

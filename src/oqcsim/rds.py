@@ -183,7 +183,6 @@ def make_periodic_grid(total_length: float, domain_length: float) -> DomainGrid:
 # added row by row into da1, da2, da3.  The term buffer's sixth row is -0,
 # the exact additive identity, so da3 is a1 a2 + (-0) = a1 a2 bit for bit.
 _FACTORS = np.array([0, 3, 3, 1, 0, 4, 3, 4, 5, 5])
-_FLUX_WEIGHTS = np.array([1.0, 2.0, 3.0])
 # The five terms' phase factors e^{i dk z} are e^{i dkA z}, the conjugates
 # of e^{i dkA z} and e^{i dkB z} (rows 1 and 2), and e^{i dkB z} twice.
 _LEGS = np.array([0, 0, 1, 1, 1])
@@ -346,7 +345,9 @@ def rk4(fields, signs, lengths, steps_per_domain, kappa_a, kappa_b, dk_a, dk_b, 
         np.add(firsts, seconds, out=out)
 
     def flux(a):
-        return _FLUX_WEIGHTS @ (np.abs(a) ** 2)
+        # elementwise, so a column's flux does not depend on the batch width
+        p = np.abs(a) ** 2
+        return p[..., 0, :] + 2.0 * p[..., 1, :] + 3.0 * p[..., 2, :]
 
     n0 = flux(a)
     worst = np.zeros(width)
@@ -493,11 +494,17 @@ class LogicThresholds:
     p3: float
 
 
+def _separation(p, threshold):
+    # p over the dark floor; 0 for a channel without a threshold, not (0 / 0) ** 2
+    return (p / threshold) ** 2 if threshold > 0.0 else 0.0
+
+
 def calibrate_thresholds(
     grid: DomainGrid,
     params: CoupledModeParams,
     beam_amplitude: float,
     steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN,
+    gates=("NOT", "CNOT"),
 ) -> LogicThresholds:
     """Simulate all logic inputs and place thresholds between the levels.
 
@@ -509,10 +516,12 @@ def calibrate_thresholds(
     level of its channel.  Each threshold is p * 1e-15, the geometric mean
     of p and a dark floor p * 1e-30 in exact arithmetic, and the separation
     (p / threshold) ** 2 is p over that floor, finite and at most about 4e30.
-    Raises CalibrationError if and only if a threshold is 0: a bright level
-    is 0 (every TH level without SFG, kappa_b = 0) or below about 2.5e-309
-    (the TH level at beam amplitudes below about 3e-51 on the default
-    crystal).  Thresholds are only valid for this beam amplitude.
+    A threshold is 0 if its bright level is 0 (every TH level without SFG,
+    kappa_b = 0) or below about 2.5e-309 (the TH level at beam amplitudes
+    below about 3e-51 on the default crystal); its separation is then 0.
+    Raises CalibrationError if and only if a channel read by one of gates
+    has a zero threshold: SH for "NOT", TH for "CNOT".  Thresholds are only
+    valid for this beam amplitude.
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
@@ -520,11 +529,12 @@ def calibrate_thresholds(
     final = propagate_many([(FieldTriple(2.0 * beam_amplitude, 0.0, 0.0), grid, params)], steps_per_domain)[0]
     p2, p3 = (float(x) for x in np.abs(final[1:, 0]) ** 2)
     p_th2, p_th3 = p2 * 1e-15, p3 * 1e-15
-    if p_th2 == 0.0 or p_th3 == 0.0:
+    thresholds = {"NOT": p_th2, "CNOT": p_th3}
+    if any(thresholds[gate] == 0.0 for gate in gates):
         raise CalibrationError(
             f"logic levels not separable: SH bright={p2:.3e} dark=0.000e+00, TH bright={p3:.3e} dark=0.000e+00"
         )
-    return LogicThresholds(p_th2, p_th3, (p2 / p_th2) ** 2, (p3 / p_th3) ** 2, p2, p3)
+    return LogicThresholds(p_th2, p_th3, _separation(p2, p_th2), _separation(p3, p_th3), p2, p3)
 
 
 def calibrated_gate(inputs, cal: LogicThresholds):
@@ -534,10 +544,14 @@ def calibrated_gate(inputs, cal: LogicThresholds):
     levels for 0 or 2 one-bits, 0 for one.  NOT outputs 1 iff
     P2(L) >= p_th2.  CNOT passes the control through; equal bits interfere
     constructively and drive the cascaded third harmonic high, so the XOR
-    target is 1 iff P3(L) < p_th3.
+    target is 1 iff P3(L) < p_th3.  Raises CalibrationError if the channel
+    read has a zero threshold, which no level crosses.
     """
     if len(inputs) not in (1, 2) or any(x not in (0, 1) for x in inputs):
         raise ValueError(f"gate inputs must be one or two bits, each 0 or 1, got {tuple(inputs)}")
+    if (cal.p_th2 if len(inputs) == 1 else cal.p_th3) == 0.0:
+        channel = "SH" if len(inputs) == 1 else "TH"
+        raise CalibrationError(f"logic levels not separable: {channel} threshold is 0")
     bright = sum(inputs) != 1
     if len(inputs) == 1:
         return (1 if (cal.p2 if bright else 0.0) >= cal.p_th2 else 0,)

@@ -6,6 +6,13 @@ rotations about axes in the xy plane, plus free evolution
 exp(-i j12 sz1 sz2 tau) under the j-coupling alone (hbar = 1,
 angular-frequency units).  Basis states are ordered |00>, |01>, |10>,
 |11> with spin 0 leftmost.
+
+One kernel propagates a batch of sequences that share their hard
+rotations, each under its own coupling: `sequence_unitaries` is one call
+for a whole j12 sweep, and `sequence_unitary` and `apply_sequence` are
+the batch of one.  Rotation matrices and the hard-rotation segments of
+the compiled gates are built once per process, read-only or frozen;
+only a CNOT's delay is new in each `compile_cnot` list.
 """
 
 from __future__ import annotations
@@ -106,50 +113,78 @@ class FreeCouplingEvolution:
 PulseSegment = Union[HardRotation, FreeCouplingEvolution]
 
 
-def _propagate(psi, segments, j12):
-    """Apply segments in order to B states at once, psi of shape (2**n, B).
+def _propagate(psi, sequences, j12):
+    """Apply R segment sequences that share their hard rotations to a batch of states.
 
-    Rotating spin k is a 2x2 operator on axis 1 of the (2**k, 2, rest) view.
+    psi is (2**n, R, B) or (2**n, R * B): states psi[:, r] take sequence r
+    under coupling j12[r].  Each shared rotation is applied once to every
+    column: rotating spin k is a 2x2 operator on axis 1 of the
+    (2**k, 2, rest) view.  Each free evolution is a phase
+    exp(-i j12_r zz tau_r) per sequence, the same products as for one.
     """
-    _check_finite(j12=j12)
+    if len(j12) != len(sequences):
+        raise ValueError(f"{len(sequences)} sequences need as many couplings, got {len(j12)}")
+    for j in j12:
+        _check_finite(j12=j)
     n = psi.shape[0].bit_length() - 1
-    for seg in segments:
+    for segs in zip(*sequences, strict=True):
+        seg = segs[0]
         if isinstance(seg, HardRotation):
+            if segs.count(seg) != len(segs):  # compares by identity first: cached segments are shared objects
+                raise ValueError("sequences of a batch must share their hard rotations")
             if not 0 <= seg.spin < n:
                 raise ValueError(f"spin index {seg.spin} out of range for n={n}")
             rot = _rotation_matrix(seg.axis_angle, seg.rotation_angle)
             psi = (rot @ psi.reshape(2**seg.spin, 2, -1)).reshape(psi.shape)
         elif isinstance(seg, FreeCouplingEvolution):
+            if not all(isinstance(s, FreeCouplingEvolution) for s in segs):
+                raise ValueError("sequences of a batch must share their hard rotations")
             if n != 2:
                 raise ValueError("coupling evolution is defined for the 2-spin register")
             zz = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-            psi = np.exp(-1j * j12 * zz * seg.duration) * psi
+            tau = np.array([s.duration for s in segs])
+            phase = np.exp(-1j * np.array(j12, dtype=float) * zz * tau)
+            psi = (phase[:, :, np.newaxis] * psi.reshape(4, len(segs), -1)).reshape(psi.shape)
         else:
             raise TypeError(f"unknown pulse segment {seg!r}")
     return psi
 
 
+def sequence_unitaries(sequences, n: int, j12) -> np.ndarray:
+    """The (R, 2**n, 2**n) unitaries of R sequences that share their hard rotations, under R couplings.
+
+    One propagation of the identity batch of every sequence: each shared
+    rotation is applied once, and every unitary comes out bitwise as
+    sequence_unitary gives it alone.
+    """
+    dim = 2**n
+    identity = np.eye(dim, dtype=complex)[:, np.newaxis].repeat(len(sequences), axis=1)
+    return np.ascontiguousarray(_propagate(identity, sequences, j12).transpose(1, 0, 2))
+
+
 def sequence_unitary(segments: Sequence[PulseSegment], n: int, j12: float) -> np.ndarray:
-    """Compose segments in application order: the sequence applied to the identity batch."""
-    return _propagate(np.eye(2**n, dtype=complex), segments, j12)
+    """Compose segments in application order: the sequence applied to the identity, a batch of one."""
+    return _propagate(np.eye(2**n, dtype=complex), [segments], [j12])
 
 
 def apply_sequence(state, segments, j12):
-    return SpinState(_propagate(state.amplitudes[:, np.newaxis], segments, j12)[:, 0])
+    return SpinState(_propagate(state.amplitudes[:, np.newaxis], [segments], [j12])[:, 0])
 
 
+@functools.cache
 def _rz_segments(spin, angle):
     # Rz(angle) = Rx(pi/2) Ry(angle) Rx(-pi/2), listed in application order
-    return [
+    return (
         HardRotation(spin, 0.0, -math.pi / 2),
         HardRotation(spin, math.pi / 2, angle),
         HardRotation(spin, 0.0, math.pi / 2),
-    ]
+    )
 
 
+@functools.cache
 def _hadamard_segments(spin):
     # H = Ry(pi/2) * Z up to global phase; Z realized as Rz(pi)
-    return _rz_segments(spin, math.pi) + [HardRotation(spin, math.pi / 2, math.pi / 2)]
+    return _rz_segments(spin, math.pi) + (HardRotation(spin, math.pi / 2, math.pi / 2),)
 
 
 def compile_not(target: int) -> list:
@@ -175,12 +210,13 @@ def compile_cnot(control: int, target: int, j12: float) -> list:
         raise GateCompilationError(f"CNOT is uncompilable with j12 = {j12!r} (its delay pi/(4|j12|) overflows)")
     # exp(-i*j12*zz*tau) = exp(-+i*(pi/4)*zz); the z-rotation sign closes CZ
     z_angle = -math.pi / 2 if j12 > 0 else math.pi / 2
-    segs = list(_hadamard_segments(target))
-    segs.append(FreeCouplingEvolution(tau))
-    segs += _rz_segments(control, z_angle)
-    segs += _rz_segments(target, z_angle)
-    segs += _hadamard_segments(target)
-    return segs
+    return [
+        *_hadamard_segments(target),
+        FreeCouplingEvolution(tau),
+        *_rz_segments(control, z_angle),
+        *_rz_segments(target, z_angle),
+        *_hadamard_segments(target),
+    ]
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oqcsim
-from oqcsim import cli, rds
+from oqcsim import cli, rds, spin
 
 RDS_FAST = {
     "n_domains": 10,
@@ -645,9 +645,11 @@ def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, p
         }),
         ("run", {"backend": "rds", "parameters": {"kappa_a": 1e200, "gate": "not"}}),
         ("run", {"backend": "rds", "parameters": {"beam_amplitude": 1e200, "gate": "cnot"}}),
-        # the TH bright level underflows to 0, so its threshold is 0
-        ("run", {"backend": "rds", "parameters": {"gate": "not", "beam_amplitude": 1e-75}}),
+        # the bright level a gate reads underflows its threshold to 0: SH for NOT, TH for CNOT
+        ("run", {"backend": "rds", "parameters": {"gate": "not", "beam_amplitude": 1e-80}}),
         ("run", {"backend": "rds", "parameters": {"gate": "cnot", "beam_amplitude": 1e-80}}),
+        # without SFG the TH level is 0 at any beam
+        ("run", {"backend": "rds", "parameters": {"gate": "cnot", "kappa_b": 0.0}}),
     ],
     ids=[
         "run-kappa-a",
@@ -658,6 +660,7 @@ def test_null_optional_rds_key_counts_as_absent(tmp_path, monkeypatch, capsys, p
         "gate-beam-amplitude",
         "gate-not-levels-underflow",
         "gate-cnot-levels-underflow",
+        "gate-cnot-without-sfg",
     ],
 )
 def test_diverging_rds_integration_is_one_line_physics_error(tmp_path, capsys, recwarn, command, cfg):
@@ -772,6 +775,22 @@ def test_rds_gate_columns_are_read_from_the_bright_levels(tmp_path, capsys, gate
         assert [float(x) for x in row[-2:]] == expected
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"kappa_b": 0.0}, {"beam_amplitude": 1e-51}],
+    ids=["pure-shg-crystal", "th-level-underflows"],
+)
+def test_rds_not_reads_only_its_own_channel(tmp_path, capsys, kernel_widths, params):
+    # the TH threshold is 0 here, but a NOT reads the SH channel alone
+    cfg = {"backend": "rds", "parameters": dict(params, gate="not")}
+    assert cli.main(["run", "--config", write_config(tmp_path, "not.json", cfg)]) == 0
+    captured = capsys.readouterr()
+    rows = [row.split(",") for row in captured.out.splitlines()[1:]]
+    assert {(int(x), int(y)) for x, y, _, _ in rows} == {x + y for x, y in cli.NOT_TABLE.items()}
+    assert all(float(separation) >= 2.0 and float(threshold) > 0.0 for _, _, separation, threshold in rows)
+    assert captured.err == "" and kernel_widths == [1]
+
+
 def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
     grid_file = tmp_path / "grid.txt"
     grid_file.write_text("".join(f"5e-4 {(-1) ** i:+d}\n" for i in range(10)))
@@ -811,6 +830,62 @@ def test_rds_sweep_is_one_kernel_call(tmp_path, capsys, kernel_widths, parameter
     assert cli.main(["sweep", "--config", cfg]) == 0
     assert kernel_widths == [81]
     assert len(capsys.readouterr().out.splitlines()) == 82
+
+
+@pytest.fixture
+def spin_batches(monkeypatch):
+    """Sequence count of every call of the spin propagation kernel."""
+    batches = []
+    kernel = spin._propagate
+
+    def counted(psi, sequences, j12):
+        batches.append(len(sequences))
+        return kernel(psi, sequences, j12)
+
+    monkeypatch.setattr(spin, "_propagate", counted)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "params,start,stop,count,batches",
+    [
+        ({"gate": "cnot"}, 0.05, 5.0, 41, [41]),
+        ({"gate": "cnot", "control": 1, "target": 0}, -5.0, -0.05, 41, [41]),
+        # crosses the sign of j12, never hitting 0: the z-rotations flip
+        ({}, -1.0, 1.0, 40, [20, 20]),
+        ({"gate": "not"}, -1.0, 1.0, 40, [40]),
+    ],
+    ids=["cnot-positive", "cnot-10-negative", "cnot-across-zero", "not"],
+)
+def test_spin_sweep_is_one_kernel_call_per_rotation_sequence(
+    tmp_path, capsys, spin_batches, params, start, stop, count, batches
+):
+    sweep = {"parameter": "j12", "start": start, "stop": stop, "count": count}
+    cfg = write_config(tmp_path, "sweep.json", {"backend": "spin", "parameters": params, "sweep": sweep})
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert spin_batches == batches
+    assert len(capsys.readouterr().out.splitlines()) == count + 1
+
+
+@pytest.mark.parametrize("count", [2, 41, 200])
+@pytest.mark.parametrize(
+    "params,start,stop",
+    [
+        ({"gate": "not", "target": 0}, -2.0, 3.0),
+        ({"gate": "cnot"}, 0.01, 10.0),
+        ({"gate": "cnot"}, -10.0, -0.01),
+        ({"gate": "cnot", "control": 1, "target": 0}, 0.02, 7.0),
+        ({"gate": "cnot", "control": 1, "target": 0}, -3.0, 2.9),
+    ],
+    ids=["not", "cnot-positive", "cnot-negative", "cnot-10-positive", "cnot-10-both-signs"],
+)
+def test_spin_sweep_rows_are_bitwise_the_per_row_fidelity(params, start, stop, count):
+    values = [float(v) for v in np.linspace(start, stop, count)]
+    parsed = [cli._parse_spin(dict(params, j12=v)) for v in values]
+    _, rows = cli._spin_sweep(parsed)
+    assert len(rows) == count
+    for q, (fidelity,) in zip(parsed, rows):
+        assert fidelity.hex() == cli._spin_fidelity(q, q["gate"])[1].hex()
 
 
 def test_rds_sliver_domain_takes_steps_per_domain_steps(tmp_path, capsys):

@@ -288,6 +288,32 @@ def test_equal_angles_of_other_bits_share_a_layer_but_not_a_matrix(one, other):
     assert jones.gate_matrix(2, network).tobytes() == sequential_gate_matrix(2, network).tobytes()
 
 
+def test_cached_plate_is_bitwise_the_uncached_matrix():
+    rng = np.random.default_rng(29)
+    angles = [0.0, -0.0, math.pi, math.pi / 4, -math.pi / 2, 2, np.float32(0.5), np.float32(-0.0)]
+    angles += list(rng.normal(size=4) * 4)
+    elements = [jones.Rotator(a) for a in angles]
+    elements += [jones.Waveplate(d, t) for d, t in itertools.product(angles, repeat=2)]
+    for element in elements:
+        want = element.jones().tobytes()
+        # twice: the second call is served from the cache
+        for _ in range(2):
+            assert jones._plate_matrix(jones._plate_key(element), element).tobytes() == want
+            assert jones.gate_matrix(1, [element]).tobytes() == sequential_gate_matrix(1, [element]).tobytes()
+
+
+def test_cached_plate_is_read_only_and_jones_is_a_copy():
+    plate = jones.Waveplate(math.pi, math.pi / 4)
+    cached = jones._plate_matrix(jones._plate_key(plate), plate)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
+    m = plate.jones()
+    m[:] = 0.0
+    want = jones.waveplate_matrix(math.pi, math.pi / 4).tobytes()
+    assert jones._plate_matrix(jones._plate_key(plate), plate).tobytes() == want
+
+
 def test_layers_keep_each_modes_network_order():
     # a chain on mode 0 is three layers; the plate on mode 1 joins the first
     chain = [jones.Rotator(0.1, modes=(0,)), jones.PBSSwap(0, 1), jones.Rotator(0.2, modes=(0,))]

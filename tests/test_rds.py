@@ -380,6 +380,44 @@ def test_cnot_needs_sfg_coupling(calibrated):
         rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
 
 
+@pytest.mark.parametrize("params,amplitude", [((1.0, 0.0), 0.1), ((1.0, 1.0), 1e-51)], ids=["no-sfg", "th-underflows"])
+def test_not_calibration_needs_only_the_sh_channel(params, amplitude):
+    p = rds.CoupledModeParams(*params, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
+    grid = rds.default_grid(p)
+    with pytest.raises(rds.CalibrationError):
+        rds.calibrate_thresholds(grid, p, amplitude)
+    with pytest.raises(rds.CalibrationError):
+        rds.calibrate_thresholds(grid, p, amplitude, gates=("CNOT",))
+    cal = rds.calibrate_thresholds(grid, p, amplitude, gates=("NOT",))
+    # the TH channel has no threshold: its separation is 0, not (0 / 0) ** 2
+    assert cal.p_th3 == 0.0 and cal.separation_th == 0.0
+    assert all(math.isfinite(x) for x in vars(cal).values())
+    assert {(x,): rds.calibrated_gate((x,), cal) for x in (0, 1)} == cli.NOT_TABLE
+    with pytest.raises(rds.CalibrationError, match="TH threshold is 0"):
+        rds.calibrated_gate((1, 0), cal)
+
+
+def test_manley_drift_does_not_depend_on_the_batch_width():
+    # the same columns at other widths: the flux is summed column by column
+    p = rds.default_params()
+    grid = rds.default_grid(p, n_domains=6)
+    for seed in range(8):
+        rng = np.random.default_rng(300 + seed)
+        fields = (rng.normal(size=(3, 82)) + 1j * rng.normal(size=(3, 82))) * 0.3
+        kappa_a, kappa_b = rng.uniform(0.5, 2.0, 82), rng.uniform(0.0, 2.0, 82)
+
+        def drift(width):
+            return rds.rk4(
+                fields[:, :width], grid.signs[:, None], grid.lengths[:, None], 4,
+                kappa_a[:width], kappa_b[:width], p.dk_a, p.dk_b,
+            )[1]
+
+        for base, widths in ((7, range(8, 13)), (80, (81, 82))):
+            want = drift(base).tobytes()
+            for width in widths:
+                assert drift(width)[:base].tobytes() == want, (seed, base, width)
+
+
 @pytest.mark.parametrize("kappa_b", [1.0, 1e-3])
 def test_tiny_beams_read_the_right_table_or_fail_calibration(kappa_b):
     # the bright levels fall as A^4 (SH) and A^6 (TH) down to 0; a threshold

@@ -85,6 +85,64 @@ def test_cached_rotation_is_read_only_and_matrix_is_a_copy():
     assert spin._rotation_matrix(0.3, 1.1).tobytes() == uncached_rotation(0.3, 1.1).tobytes()
 
 
+def test_compile_cnot_returns_a_fresh_list_of_cached_segments():
+    first = spin.compile_cnot(0, 1, 0.3)
+    want = list(first)
+    first[0] = spin.HardRotation(1, 1.0, 1.0)
+    first.append(spin.FreeCouplingEvolution(2.0))
+    del first[5:9]
+    assert spin.compile_cnot(0, 1, 0.3) == want
+    # the rotations are the same objects from call to call, only the delay is new
+    again = spin.compile_cnot(0, 1, 0.7)
+    assert all(a is b for a, b in zip(again, want) if isinstance(a, spin.HardRotation))
+    assert isinstance(spin._hadamard_segments(1), tuple) and isinstance(spin._rz_segments(0, math.pi), tuple)
+
+
+def test_batched_unitaries_are_bitwise_each_sequence_alone():
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        rotations = [
+            spin.HardRotation(int(rng.integers(2)), rng.uniform(0, 2 * math.pi), rng.normal() * 3)
+            for _ in range(rng.integers(1, 8))
+        ]
+        slots = sorted(rng.choice(len(rotations) + 1, size=rng.integers(1, 3), replace=False))
+        count = int(rng.integers(1, 60))
+        couplings = list(rng.normal(size=count))
+        sequences = []
+        for _ in range(count):
+            segs = list(rotations)
+            for k in reversed(slots):
+                segs.insert(k, spin.FreeCouplingEvolution(abs(rng.normal())))
+            sequences.append(segs)
+        batch = spin.sequence_unitaries(sequences, 2, couplings)
+        assert batch.shape == (count, 4, 4)
+        for segs, j12, u in zip(sequences, couplings, batch):
+            assert u.tobytes() == spin.sequence_unitary(segs, 2, j12).tobytes()
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        [spin.HardRotation(0, 0.0, 1.0), spin.FreeCouplingEvolution(1.0)],
+        [spin.FreeCouplingEvolution(1.0), spin.FreeCouplingEvolution(1.0)],
+        [spin.HardRotation(1, 0.0, 1.0), spin.HardRotation(1, 0.0, 1.0)],
+        [spin.HardRotation(1, 0.0, 1.0)],
+    ],
+    ids=["other-rotation", "coupling-for-rotation", "rotation-for-coupling", "shorter"],
+)
+def test_batch_rejects_sequences_without_shared_rotations(second):
+    first = [spin.HardRotation(1, 0.0, 1.0), spin.FreeCouplingEvolution(0.5)]
+    with pytest.raises(ValueError):
+        spin.sequence_unitaries([first, second], 2, [0.1, 0.2])
+
+
+def test_batch_needs_one_coupling_per_sequence():
+    segs = spin.compile_cnot(0, 1, 0.1)
+    for couplings in ([0.1], [0.1, 0.1, 0.1]):
+        with pytest.raises(ValueError, match="2 sequences need as many couplings"):
+            spin.sequence_unitaries([segs, segs], 2, couplings)
+
+
 def test_free_evolution_zero_is_identity():
     state = spin.SpinState(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
     out = spin.apply_sequence(state, [spin.FreeCouplingEvolution(0.0)], 0.4)
