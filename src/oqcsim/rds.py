@@ -145,12 +145,15 @@ class Trajectory:
         return p[:, 0] + 2 * p[:, 1] + 3 * p[:, 2]
 
     def csv_rows(self, stride=1):
-        """Rows [z, re a1, im a1, re a2, im a2, re a3, im a3, N] of every stride-th sample and the last."""
+        """Rows [z, re a1, im a1, re a2, im a2, re a3, im a3, N] of every stride-th sample and the last.
+
+        One float array, a row per sample.
+        """
         idx = list(range(0, len(self.z), stride))
         if idx[-1] != len(self.z) - 1:
             idx.append(len(self.z) - 1)
         parts = np.ascontiguousarray(self.fields).view(float)  # re a1, im a1, re a2, ...
-        return np.column_stack((self.z, parts, self.manley_rowe()))[idx].tolist()
+        return np.column_stack((self.z, parts, self.manley_rowe()))[idx]
 
 
 def qpm_domain_length(dk: float) -> float:

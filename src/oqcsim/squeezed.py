@@ -30,6 +30,8 @@ class CutoffError(ValueError):
 
 @dataclass(frozen=True)
 class SqueezedStateParams:
+    """A displaced squeezed state; it keeps the photon statistics its validation computes."""
+
     alpha: complex
     r: float
     theta: float = 0.0
@@ -51,6 +53,7 @@ class SqueezedStateParams:
             raise ValueError(
                 "photon-number statistics out of float range: mean, variance, Mandel Q or g2(0)"
             )
+        object.__setattr__(self, "_stats", PhotonStatistics(*stats))
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ def _statistics(s: SqueezedStateParams):
 
 
 def closed_form_stats(s: SqueezedStateParams) -> PhotonStatistics:
-    """Exact photon-number mean/variance of a displaced squeezed state."""
-    return PhotonStatistics(*_statistics(s))
+    """Exact photon-number mean/variance of a displaced squeezed state, as computed when s was made."""
+    return s._stats
 
 
 def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:

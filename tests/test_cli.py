@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oqcsim
-from oqcsim import cli, rds, spin
+from oqcsim import cli, rds, spin, squeezed
 
 RDS_FAST = {
     "n_domains": 10,
@@ -222,6 +224,106 @@ def test_csv_payload_is_byte_identical_to_value_by_value():
     ]
     payload = {"columns": ["a", "b", "c", "d", "e"], "rows": rows}
     assert cli.payload_csv(payload) == reference(payload)
+
+
+def csv_reference(payload):
+    """CSV text value by value: floats as .17g and anything else as str."""
+
+    def value(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(value, row)) + "\n" for row in [payload["columns"], *payload["rows"]])
+
+
+def json_reference(payload):
+    """JSON document value by value: a non-finite float is null."""
+    rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in payload["rows"]]
+    return json.dumps({"columns": payload["columns"], "rows": rows}, indent=2) + "\n"
+
+
+def written(payload, fmt, dest, tmp_path, capsys):
+    """The bytes write_payload writes, to a file or to stdout."""
+    capsys.readouterr()
+    out = tmp_path / "out.txt" if dest == "file" else None
+    cli.write_payload(payload, None if out is None else str(out), fmt)
+    stdout = capsys.readouterr().out
+    if out is None:
+        return stdout.encode()
+    assert stdout == ""
+    return out.read_bytes()
+
+
+K = cli.CHUNK_ROWS
+ROW_COUNTS = [0, 1, K - 1, K, K + 1, 2 * K + 1]
+FLOATS = [0.1 + 0.2, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, np.float64(0.1), np.float64(math.nan)]
+NON_FLOATS = [1, 2**63 - 1, -(2**63), np.int64(7), True, False, 123456789012345678, "x", "%s%%", None]
+
+
+def table_rows(n, non_floats=NON_FLOATS):
+    """n rows of one float and two non-float columns.
+
+    Row 3 puts an int in the float column, so the first chunk has a
+    mixed-type column, and row K + 5 is one value short, so the second
+    chunk has ragged rows.
+    """
+    rows = []
+    for i in range(n):
+        row = [FLOATS[i % len(FLOATS)], non_floats[i % len(non_floats)], non_floats[(3 * i) % len(non_floats)]]
+        if i == 3:
+            row[0] = 3
+        if i == K + 5:
+            row.pop()
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("dest", ["file", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_written_rows_are_byte_identical_to_value_by_value(tmp_path, capsys, n, fmt, dest):
+    # json cannot encode an np.int64
+    rows = table_rows(n, NON_FLOATS if fmt == "csv" else [v for v in NON_FLOATS if type(v) is not np.int64])
+    reference = {"csv": csv_reference, "json": json_reference}[fmt]({"columns": ["a", "b", "c"], "rows": rows})
+    # any iterable of rows: a generator is read once, a chunk at a time
+    payload = {"columns": ["a", "b", "c"], "rows": (row for row in rows)}
+    assert written(payload, fmt, dest, tmp_path, capsys) == reference.encode()
+    if fmt == "csv":
+        assert cli.payload_csv({"columns": ["a", "b", "c"], "rows": rows}) == reference
+
+
+@pytest.mark.parametrize("dest", ["file", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_written_array_rows_are_byte_identical_to_value_by_value(tmp_path, capsys, n, fmt, dest):
+    floats = np.array([float(FLOATS[i % len(FLOATS)]) for i in range(n)])
+    ints = np.arange(n, dtype=np.int64) * (2**62 // max(n, 1)) - 2**62
+    columns = ["n", "p", "k"]
+    rows = [[int(i), float(x), int(k)] for i, x, k in zip(range(n), floats, ints)]
+    reference = {"csv": csv_reference, "json": json_reference}[fmt]({"columns": columns, "rows": rows})
+    payload = {"columns": columns, "rows": cli.ArrayRows(np.arange(n), floats, ints)}
+    assert written(payload, fmt, dest, tmp_path, capsys) == reference.encode()
+
+
+def test_distribution_run_memory_is_set_by_the_distribution(tmp_path):
+    # the writer holds one chunk of rows: a run peaks about where fock_distribution does
+    params = {"alpha": [30.0, 0.0], "r": 0.5, "cutoff": 10**5}
+    cfg = write_config(
+        tmp_path, "dist.json", {"backend": "stats", "parameters": dict(params, distribution=True)}
+    )
+    state = squeezed.SqueezedStateParams(complex(*params["alpha"]), params["r"])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        squeezed.fock_distribution(state, params["cutoff"])
+        fock_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 0
+        run_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "p.csv").read_text().splitlines()) == params["cutoff"] + 2
+    assert run_peak < 1.2 * fock_peak, (run_peak, fock_peak)
 
 
 def test_truthtable_command_passes(capsys):
@@ -806,6 +908,35 @@ def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsy
     cfg = write_config(tmp_path, "gate.json", {"backend": "rds", "parameters": params})
     assert cli.main(["run", "--config", cfg]) == 0
     assert loads == [str(grid_file)]
+
+
+def test_rds_grid_file_sweep_reads_the_file_once_per_sweep(tmp_path, monkeypatch, capsys):
+    grid_file = tmp_path / "grid.txt"
+    grid_file.write_text("5e-4 1\n4e-4 -1\n5e-4 1\n")
+    loads = []
+    load = rds.DomainGrid.load
+
+    def counted(cls, path):
+        loads.append(path)
+        return load(path)
+
+    params = {"grid_file": str(grid_file), "steps_per_domain": 8}
+    sweep = {"parameter": "kappa_a", "start": 0.0, "stop": 2.0, "count": 81}
+    cfg = write_config(tmp_path, "sweep.json", {"backend": "rds", "parameters": params, "sweep": sweep})
+    # each row parsed on its own, reading the file for itself
+    values = np.linspace(sweep["start"], sweep["stop"], sweep["count"]).tolist()
+    columns, rows = cli._rds_sweep([cli._parse_rds(dict(params, kappa_a=v)) for v in values])
+    per_row = csv_reference({"columns": ["value", *columns], "rows": [[v, *r] for v, r in zip(values, rows.tolist())]})
+
+    monkeypatch.setattr(rds.DomainGrid, "load", classmethod(counted))
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert loads == [str(grid_file)]
+    assert capsys.readouterr().out == per_row
+    # the file may change between calls: the next sweep reads it again
+    grid_file.write_text("5e-4 1\n")
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert loads == [str(grid_file)] * 2
+    assert capsys.readouterr().out != per_row
 
 
 def test_rds_truth_table_is_one_kernel_call(capsys, kernel_widths):
