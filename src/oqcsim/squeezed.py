@@ -11,15 +11,16 @@ vacuum quadrature variance 1/4.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_CUTOFF = 400
-_RESCALE = 2.0**256
-_LOG_RESCALE = 256 * math.log(2.0)
+# |psi_n| is divided by 2**_RESCALE_BITS whenever it passes that.
+_RESCALE_BITS = 256
+_RESCALE = 2.0**_RESCALE_BITS
+_LN2 = math.log(2.0)
 # Recurrence indices per coefficient table of fock_distribution.
 _BLOCK = 4096
 
@@ -96,13 +97,16 @@ def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> n
     The coefficients do not depend on the amplitudes, so they come from
     one np.sqrt table per block of at most _BLOCK indices (whole-cutoff
     tables would double the peak memory at large cutoffs).  psi_0
-    underflows for |alpha| above about 38, so the amplitudes carry a log
-    scale, raised by _LOG_RESCALE whenever |psi_n| passes _RESCALE; the
-    loop records only the indices where that happens and the per-amplitude
-    scales are rebuilt from them after it.  Every factor is rounded as in
-    the per-step recurrence (np.sqrt and math.sqrt are both correctly
-    rounded, and a complex times a real rounds alike in numpy and Python),
-    so the probabilities are bitwise those of the per-step loop.  The
+    underflows for |alpha| above about 38, so the loop starts from
+    psi_0 / |psi_0| and divides by _RESCALE whenever |psi_n| passes it,
+    recording only the indices where that happens.  Every factor is
+    rounded as in the per-step recurrence (np.sqrt and math.sqrt are both
+    correctly rounded, and a complex times a real rounds alike in numpy
+    and Python), so the amplitudes are bitwise those of the per-step loop.
+    With 2 Re log psi_0 = q ln 2 + rem, p_n = |psi_n|^2 e^rem 2^(q + 2 k_n
+    _RESCALE_BITS) after k_n rescales: one rounded factor for every bin and
+    an exact power of two, where a float log scale would round to an error
+    of about ulp(|alpha|^2) shared by every bin above it.  The
     normalization deficit and the top-bin mass serve as the tail check.
     """
     if cutoff < 1:
@@ -122,12 +126,16 @@ def fock_distribution(s: SqueezedStateParams, cutoff: int = DEFAULT_CUTOFF) -> n
                 prev, psi = prev / _RESCALE, psi / _RESCALE
                 rescaled_at.append(len(amplitudes))
             amplitudes.append(psi)
-    levels = list(itertools.accumulate([_LOG_RESCALE] * len(rescaled_at), initial=log_psi0.real))
+    log_p0 = 2.0 * log_psi0.real
+    # q is kept within int64: below log_p0 = -2e9, e^rem is 0 (nan where an amplitude overflowed)
+    q = round(max(log_p0, -2e9) / _LN2)
+    exponents = [q + 2 * _RESCALE_BITS * k for k in range(len(rescaled_at) + 1)]
     # amplitudes near |alpha| ~ 1e150 overflow here; the nan tail raises below
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.abs(amplitudes) ** 2
-        del amplitudes  # five times the size of p: the scale arrays reuse its memory
-        p *= np.exp(2.0 * np.repeat(levels, np.diff([0, *rescaled_at, cutoff + 1])))
+        del amplitudes  # five times the size of p: the exponents reuse its memory
+        p *= np.exp(log_p0 - q * _LN2)
+        np.ldexp(p, np.repeat(exponents, np.diff([0, *rescaled_at, cutoff + 1])), out=p)
     tail = max(abs(1.0 - p.sum()), float(p[-1]))
     if not tail <= 1e-10:
         raise CutoffError(f"tail mass {tail:.3e} exceeds 1e-10 at cutoff {cutoff}")

@@ -199,26 +199,40 @@ def test_large_displacement_past_vacuum_underflow(mag):
     assert var == pytest.approx(st.var_n, rel=1e-8)
 
 
+@pytest.mark.parametrize("mag,cutoff", [(250.0, 200_000), (300.0, 400_000)])
+def test_large_displacement_passes_its_tail_check(mag, cutoff):
+    # a float log scale per rescale used to round into a normalization
+    # deficit shared by every bin: 1.6e-10 and 2.4e-10 here, with the top bin 0
+    s = SqueezedStateParams(mag, 0.3)
+    p = fock_distribution(s, cutoff)
+    assert abs(1.0 - p.sum()) < 2e-11 and p[-1] == 0.0
+    assert distribution_moments(p)[0] == pytest.approx(closed_form_stats(s).mean_n, rel=2e-11)
+
+
 def sequential_fock_distribution(s, cutoff):
     """The per-step recurrence that fock_distribution's coefficient tables replace.
 
-    Each step recomputes its two square roots and keeps one log scale per amplitude.
+    Each step recomputes its two square roots and keeps the rescale count
+    of each amplitude, whose power of two scales its probability.
     """
     alpha = complex(s.alpha)
     ch, sh = math.cosh(s.r), math.sinh(s.r)
     phase = cmath.exp(1j * s.theta)
     gamma = alpha * ch + alpha.conjugate() * phase * sh
     log_psi0 = -0.5 * abs(alpha) ** 2 - 0.5 * alpha.conjugate() ** 2 * phase * math.tanh(s.r)
-    prev, psi, scale = 0.0, cmath.exp(1j * log_psi0.imag) / math.sqrt(ch), log_psi0.real
-    amplitudes, scales = [psi], [scale]
+    prev, psi, rescales = 0.0, cmath.exp(1j * log_psi0.imag) / math.sqrt(ch), 0
+    amplitudes, counts = [psi], [rescales]
     for n in range(cutoff):
         prev, psi = psi, (gamma * psi - phase * sh * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
         if abs(psi) > squeezed._RESCALE:
-            prev, psi, scale = prev / squeezed._RESCALE, psi / squeezed._RESCALE, scale + squeezed._LOG_RESCALE
+            prev, psi, rescales = prev / squeezed._RESCALE, psi / squeezed._RESCALE, rescales + 1
         amplitudes.append(psi)
-        scales.append(scale)
+        counts.append(rescales)
+    # 2 Re log psi_0 = q ln 2 + rem
+    q = round(2.0 * log_psi0.real / math.log(2.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.abs(amplitudes) ** 2 * np.exp(2.0 * np.array(scales))
+        p = np.abs(amplitudes) ** 2 * np.exp(2.0 * log_psi0.real - q * math.log(2.0))
+        p = np.ldexp(p, q + 2 * squeezed._RESCALE_BITS * np.array(counts))
     tail = max(abs(1.0 - p.sum()), float(p[-1]))
     if not tail <= 1e-10:
         raise CutoffError(f"tail mass {tail:.3e} exceeds 1e-10 at cutoff {cutoff}")
