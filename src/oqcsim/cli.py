@@ -40,7 +40,7 @@ EXIT_CONFIG = 2
 # Largest spin "shots": the multinomial sampler counts in int64.
 MAX_SHOTS = 2**63 - 1
 # Largest stats "cutoff": the time and memory of a distribution run grow
-# in proportion to it, to about 260 MB at this cap.
+# in proportion to it, to about 0.65 s and 92 MB for CSV at this cap.
 MAX_CUTOFF = 10**6
 
 
@@ -202,7 +202,8 @@ def _format_rows(rows):
     (rows of one length whose columns each hold only floats or only
     non-floats), the whole list takes one %-format; else each row its own.
     """
-    formats = {kinds: _row_format(issubclass(t, float) for t in kinds) for kinds in {tuple(map(type, r)) for r in rows}}
+    kinds = {tuple(map(type, row)) for row in rows}
+    formats = {k: _row_format(issubclass(t, float) for t in k) for k in kinds}
     if len(set(formats.values())) == 1:
         fmt = formats.popitem()[1]
         return fmt * len(rows) % tuple(itertools.chain.from_iterable(rows))
@@ -260,8 +261,8 @@ def write_payload(payload, out_path, fmt):
         _write_text([payload_json(payload)], out_path)
         return
     chunks = _csv_chunks(payload)
-    # the header and the first chunk, a whole small table, are formatted before
-    # the file opens: formatting with it open measured slower (16 of 80 us on 12 rows)
+    # the header and the first chunk, all of a small table, are formatted before
+    # the file is opened: with it open, a 12-row table took 96 us instead of 80
     _write_text(itertools.chain([next(chunks) + next(chunks, "")], chunks), out_path)
 
 
@@ -654,8 +655,8 @@ def run_sweep(cfg):
 # backend -> (parser of its parameters, runner of the parsed parameters and the
 # seed, sweep parameters, evaluator of the parsed sweep rows: (column names,
 # a float array of one row per parsed row), builder of its truth-table gates,
-# or None).  The truthtable command
-# defaults to the backends with gates, in this order.
+# or None).  The truthtable command defaults to the backends with gates, in
+# this order.
 BACKENDS = {
     "spin": (_parse_spin, run_spin, ("j12",), _spin_sweep, _spin_gates),
     "jones": (_parse_jones, run_jones, (), None, _jones_gates),
