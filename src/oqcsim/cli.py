@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -156,9 +155,10 @@ def load_config(path):
 # ---------------------------------------------------------------- output
 
 
-# A payload is {"columns": names, "rows": rows}, where rows is any iterable
-# of rows, or ArrayRows.  CSV is written CHUNK_ROWS rows at a time, so
-# its memory is set by the chunk, not by the table; JSON is one document.
+# A payload is {"columns": names, "rows": rows}, where rows is an iterable
+# of rows or ArrayRows.  ArrayRows are written as CSV CHUNK_ROWS rows at a
+# time, so their memory is set by the chunk, not by the table; JSON is one
+# document.
 CHUNK_ROWS = 4096
 
 
@@ -195,23 +195,8 @@ def _format_columns(fmt, columns):
     return fmt * n % tuple(values)
 
 
-def _format_rows(rows):
-    """Lines of a list of rows, floats as .17g and anything else as str.
-
-    Each row of types has its format.  When they all have the same one
-    (rows of one length whose columns each hold only floats or only
-    non-floats), the whole list takes one %-format; else each row its own.
-    """
-    kinds = {tuple(map(type, row)) for row in rows}
-    formats = {k: _row_format(issubclass(t, float) for t in k) for k in kinds}
-    if len(set(formats.values())) == 1:
-        fmt = formats.popitem()[1]
-        return fmt * len(rows) % tuple(itertools.chain.from_iterable(rows))
-    return "".join(formats[tuple(map(type, row))] % tuple(row) for row in rows)
-
-
 def _csv_chunks(payload):
-    """CSV text of a payload, the header and then one string per chunk of at most CHUNK_ROWS rows."""
+    """CSV text of a payload: the header, then one string per chunk of ArrayRows, or one for any other rows."""
     yield ",".join(payload["columns"]) + "\n"
     rows = payload["rows"]
     if isinstance(rows, ArrayRows):
@@ -219,9 +204,16 @@ def _csv_chunks(payload):
         for columns in rows.chunks():
             yield _format_columns(fmt, columns)
         return
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-        yield _format_rows(chunk)
+    # one %-format per row, built once per row of types
+    formats = {}
+    lines = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = _row_format(issubclass(t, float) for t in kinds)
+        lines.append(fmt % tuple(row))
+    yield "".join(lines)
 
 
 def payload_csv(payload):
@@ -257,13 +249,7 @@ def _write_text(texts, out_path):
 
 
 def write_payload(payload, out_path, fmt):
-    if fmt == "json":
-        _write_text([payload_json(payload)], out_path)
-        return
-    chunks = _csv_chunks(payload)
-    # the header and the first chunk, all of a small table, are formatted before
-    # the file is opened: with it open, a 12-row table took 96 us instead of 80
-    _write_text(itertools.chain([next(chunks) + next(chunks, "")], chunks), out_path)
+    _write_text([payload_json(payload)] if fmt == "json" else _csv_chunks(payload), out_path)
 
 
 # ---------------------------------------------------------------- backends
@@ -590,8 +576,13 @@ def _swept(params, name, value):
     return dict(params, **{name: value})
 
 
-def _rds_sweep(parsed):
-    """One kernel call for every row (see rds.propagate_many)."""
+def _rds_sweep(rows):
+    """Every row parsed, then one kernel call for every row (see rds.propagate_many).
+
+    No sweep parameter names the grid file, so a grid_file is read once.
+    """
+    load_grid = functools.cache(rds.DomainGrid.load)
+    parsed = [_parse_rds(row, load_grid) for row in rows]
     cases = [(fields, grid, p) for p, grid, fields, _ in parsed]
     final, drift = rds.propagate_many(cases, parsed[0][3]["steps_per_domain"])
     p1, p2, p3 = np.abs(final) ** 2
@@ -601,18 +592,20 @@ def _rds_sweep(parsed):
     return columns, np.column_stack((p1, p2, p3, efficiency, drift))
 
 
-def _stats_sweep(parsed):
+def _stats_sweep(rows):
+    parsed = [_parse_stats(row) for row in rows]
     return _MOMENTS, np.array([_moments(s) for s, _ in parsed])
 
 
-def _spin_sweep(parsed):
+def _spin_sweep(rows):
     """Fidelity of the configured gate, CNOT by default, against its permutation.
 
-    Every row is compiled, so each fails as its run would.  Only j12 varies,
-    so every row has the same gate and permutation, and the rows that share
-    their hard rotations (a CNOT's z-rotations follow the sign of j12) make
-    one propagation.
+    Every row is parsed and compiled, so each fails as its run would.  Only
+    j12 varies, so every row has the same gate and permutation, and the rows
+    that share their hard rotations (a CNOT's z-rotations follow the sign of
+    j12) make one propagation.
     """
+    parsed = [_parse_spin(row) for row in rows]
     compile_gate, permutation = _SPIN_GATES[parsed[0]["gate"] or "cnot"]
     sequences = [compile_gate(q) for q in parsed]
     groups = {}
@@ -635,27 +628,24 @@ def run_sweep(cfg):
     if sweep is None:
         raise ConfigError("sweep command requires a sweep section in the config")
     backend, name = cfg["backend"], sweep["parameter"]
-    parse, _, names, evaluate, _ = BACKENDS[backend]
+    _, _, names, evaluate, _ = BACKENDS[backend]
     if not names:
         raise ConfigError(f'backend "{backend}" has no sweepable parameters')
     if name not in names:
         raise ConfigError(f'unknown sweep parameter "{name}" for backend {backend}')
     if not math.isfinite(sweep["stop"] - sweep["start"]):
         raise ConfigError("sweep stop - start must be a finite number")
-    if backend == "rds":  # no sweep parameter names the grid file: read it once per sweep
-        parse = functools.partial(parse, load_grid=functools.cache(rds.DomainGrid.load))
     values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
-    parsed = [parse(_swept(cfg["parameters"], name, value)) for value in values.tolist()]
-    columns, rows = evaluate(parsed)
+    columns, rows = evaluate([_swept(cfg["parameters"], name, value) for value in values.tolist()])
     return {"columns": ["value", *columns], "rows": ArrayRows(values, *rows.T)}
 
 
 # ---------------------------------------------------------------- the backend table
 
 # backend -> (parser of its parameters, runner of the parsed parameters and the
-# seed, sweep parameters, evaluator of the parsed sweep rows: (column names,
-# a float array of one row per parsed row), builder of its truth-table gates,
-# or None).  The truthtable command defaults to the backends with gates, in
+# seed, sweep parameters, evaluator of the raw sweep rows, which parses every
+# row before it evaluates any: (column names, a float array of one row per
+# row), builder of its truth-table gates, or None).  The truthtable command defaults to the backends with gates, in
 # this order.
 BACKENDS = {
     "spin": (_parse_spin, run_spin, ("j12",), _spin_sweep, _spin_gates),

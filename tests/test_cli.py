@@ -284,7 +284,7 @@ def test_written_rows_are_byte_identical_to_value_by_value(tmp_path, capsys, n, 
     # json cannot encode an np.int64
     rows = table_rows(n, NON_FLOATS if fmt == "csv" else [v for v in NON_FLOATS if type(v) is not np.int64])
     reference = {"csv": csv_reference, "json": json_reference}[fmt]({"columns": ["a", "b", "c"], "rows": rows})
-    # any iterable of rows: a generator is read once, a chunk at a time
+    # any iterable of rows: a generator is read once
     payload = {"columns": ["a", "b", "c"], "rows": (row for row in rows)}
     assert written(payload, fmt, dest, tmp_path, capsys) == reference.encode()
     if fmt == "csv":
@@ -911,8 +911,10 @@ def test_rds_grid_file_gate_run_reads_the_file_once(tmp_path, monkeypatch, capsy
 
 
 def test_rds_grid_file_sweep_reads_the_file_once_per_sweep(tmp_path, monkeypatch, capsys):
+    # three alternating domains of 2**-11 m, the grid of the inline keys below
     grid_file = tmp_path / "grid.txt"
-    grid_file.write_text("5e-4 1\n4e-4 -1\n5e-4 1\n")
+    grid_file.write_text("0.00048828125 1\n0.00048828125 -1\n0.00048828125 1\n")
+    inline = {"length": 3 * 2.0**-11, "domain_length": 2.0**-11, "steps_per_domain": 8}
     loads = []
     load = rds.DomainGrid.load
 
@@ -923,10 +925,10 @@ def test_rds_grid_file_sweep_reads_the_file_once_per_sweep(tmp_path, monkeypatch
     params = {"grid_file": str(grid_file), "steps_per_domain": 8}
     sweep = {"parameter": "kappa_a", "start": 0.0, "stop": 2.0, "count": 81}
     cfg = write_config(tmp_path, "sweep.json", {"backend": "rds", "parameters": params, "sweep": sweep})
-    # each row parsed on its own, reading the file for itself
-    values = np.linspace(sweep["start"], sweep["stop"], sweep["count"]).tolist()
-    columns, rows = cli._rds_sweep([cli._parse_rds(dict(params, kappa_a=v)) for v in values])
-    per_row = csv_reference({"columns": ["value", *columns], "rows": [[v, *r] for v, r in zip(values, rows.tolist())]})
+    # each row builds its own grid
+    cfg_inline = write_config(tmp_path, "inline.json", {"backend": "rds", "parameters": inline, "sweep": sweep})
+    assert cli.main(["sweep", "--config", cfg_inline]) == 0
+    per_row = capsys.readouterr().out
 
     monkeypatch.setattr(rds.DomainGrid, "load", classmethod(counted))
     assert cli.main(["sweep", "--config", cfg]) == 0

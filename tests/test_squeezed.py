@@ -199,6 +199,20 @@ def test_large_displacement_past_vacuum_underflow(mag):
     assert var == pytest.approx(st.var_n, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [40.0, 50.0 * cmath.exp(0.7j), -60.0j])
+def test_coherent_state_past_vacuum_underflow_is_poisson_in_log_space(alpha):
+    # psi_0 = e^(-|alpha|^2 / 2) underflows here, so every bin goes through
+    # the power-of-two scaling; log p_n = -|alpha|^2 + 2n ln|alpha| - ln n!
+    cutoff = int(2 * abs(alpha) ** 2)
+    p = fock_distribution(SqueezedStateParams(alpha, 0.0), cutoff)
+    mag2 = abs(alpha) ** 2
+    n = np.arange(cutoff + 1)
+    log_p = -mag2 + n * math.log(mag2) - np.array([math.lgamma(k + 1) for k in n])
+    held = log_p > -600  # well above the subnormal range
+    np.testing.assert_allclose(p[held], np.exp(log_p[held]), rtol=1e-10, atol=0)
+    assert np.all(p[~held] < 1e-250)
+
+
 @pytest.mark.parametrize("mag,cutoff", [(250.0, 200_000), (300.0, 400_000)])
 def test_large_displacement_passes_its_tail_check(mag, cutoff):
     # a float log scale per rescale used to round into a normalization
