@@ -155,10 +155,9 @@ def load_config(path):
 # ---------------------------------------------------------------- output
 
 
-# A payload is {"columns": names, "rows": rows}, where rows is an iterable
-# of rows or ArrayRows.  ArrayRows are written as CSV CHUNK_ROWS rows at a
-# time, so their memory is set by the chunk, not by the table; JSON is one
-# document.
+# A payload is {"columns": names, "rows": ArrayRows}.  CSV is written
+# CHUNK_ROWS rows at a time, so its memory is set by the chunk, not by the
+# table; JSON is one document.
 CHUNK_ROWS = 4096
 
 
@@ -182,43 +181,32 @@ class ArrayRows:
             yield from zip(*columns)
 
 
-def _row_format(float_columns):
-    return ",".join("%.17g" if is_float else "%s" for is_float in float_columns) + "\n"
+def _table(**columns):
+    """Payload of named numpy columns, in the order given."""
+    return {"columns": list(columns), "rows": ArrayRows(*columns.values())}
 
 
-def _format_columns(fmt, columns):
-    """Lines of equal-length columns, with one %-format of the row format repeated per row."""
-    width, n = len(columns), len(columns[0])
-    values = [None] * (width * n)
-    for j, column in enumerate(columns):
-        values[j::width] = column
-    return fmt * n % tuple(values)
+def _powers(amplitudes):
+    """|a|**2 of each amplitude, one scalar at a time: numpy's vectorised abs can differ from it in the last bit."""
+    return np.array([abs(a) ** 2 for a in amplitudes], dtype=float)
 
 
 def _csv_chunks(payload):
-    """CSV text of a payload: the header, then one string per chunk of ArrayRows, or one for any other rows."""
+    """CSV text of a payload: the header, then one string per chunk.
+
+    A chunk is one %-format: the row format repeated per row, applied to
+    the chunk's values laid out row by row.
+    """
     yield ",".join(payload["columns"]) + "\n"
     rows = payload["rows"]
-    if isinstance(rows, ArrayRows):
-        fmt = _row_format(a.dtype.kind == "f" for a in rows.arrays)
-        for columns in rows.chunks():
-            yield _format_columns(fmt, columns)
-        return
-    # one %-format per row, built once per row of types
-    formats = {}
-    lines = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = _row_format(issubclass(t, float) for t in kinds)
-        lines.append(fmt % tuple(row))
-    yield "".join(lines)
-
-
-def payload_csv(payload):
-    """CSV text, floats as .17g and anything else as str."""
-    return "".join(_csv_chunks(payload))
+    width = len(rows.arrays)
+    fmt = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in rows.arrays) + "\n"
+    for columns in rows.chunks():
+        n = len(columns[0])
+        values = [None] * (width * n)
+        for j, column in enumerate(columns):
+            values[j::width] = column
+        yield fmt * n % tuple(values)
 
 
 def _json_safe(value):
@@ -295,14 +283,13 @@ def run_spin(q, seed):
     state = spin.SpinState.basis(q["initial"])
     if q["gate"] is not None:
         state = spin.apply_sequence(state, _SPIN_GATES[q["gate"]][0](q), q["j12"])
-    columns = ["basis", "re", "im", "probability"]
-    rows = [[format(i, "02b"), a.real, a.imag, abs(a) ** 2] for i, a in enumerate(state.amplitudes)]
+    amps = state.amplitudes
+    basis = [format(i, "02b") for i in range(amps.size)]
+    columns = {"basis": np.array(basis), "re": amps.real, "im": amps.imag, "probability": _powers(amps)}
     if q["shots"] > 0:
         counts = spin.measure(state, seed, q["shots"])
-        columns.append("counts")
-        for row in rows:
-            row.append(counts.get(row[0], 0))
-    return {"columns": columns, "rows": rows}
+        columns["counts"] = np.array([counts.get(b, 0) for b in basis], dtype=np.int64)  # shots fit in int64
+    return _table(**columns)
 
 
 def _modes(v, what):
@@ -373,9 +360,9 @@ def _parse_jones(params):
 
 def run_jones(parsed, seed):
     reg, elements = parsed
-    reg = jones.apply_network(reg, elements)
-    rows = [list(r) for r in jones.register_csv_rows(reg)]
-    return {"columns": ["mode", "polarization", "re", "im", "power"], "rows": rows}
+    amps = jones.apply_network(reg, elements).amplitudes.ravel()  # mode by mode, H then V
+    modes, polarizations = np.arange(amps.size) // 2, np.tile(["H", "V"], amps.size // 2)
+    return _table(mode=modes, polarization=polarizations, re=amps.real, im=amps.imag, power=_powers(amps))
 
 
 _LENGTH = 'a positive number or "coherence"'
@@ -443,15 +430,19 @@ def run_rds(parsed, seed):
     p, grid, fields, q = parsed
     if q["gate"] is None:
         traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
-        columns = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
-        return {"columns": columns, "rows": ArrayRows(*traj.csv_rows(q["sample_stride"]).T)}
+        last = len(traj.z) - 1
+        idx = [*range(0, last, q["sample_stride"]), last]  # every stride-th sample and the last
+        parts = traj.fields[idx].view(float).T  # re a1, im a1, re a2, ...
+        names = ["re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3"]
+        return _table(z=traj.z[idx], **dict(zip(names, parts)), manley_rowe=traj.manley_rowe()[idx])
     cal, gates = _rds_gates(parsed, (q["gate"].upper(),))
     if q["gate"] == "not":
-        columns, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
+        names, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
     else:
-        columns, table, threshold = ["x1", "x2", "y1", "y2"], CNOT_TABLE, cal.p_th3
-    rows = [[*r.inputs, *r.observed, r.margin, threshold] for r in _gate_rows(gates[q["gate"].upper()], table)]
-    return {"columns": columns + ["separation", "threshold"], "rows": rows}
+        names, table, threshold = ["x1", "x2", "y1", "y2"], CNOT_TABLE, cal.p_th3
+    rows = _gate_rows(gates[q["gate"].upper()], table)
+    bits, margins = np.array([[*r.inputs, *r.observed] for r in rows]).T, np.array([r.margin for r in rows])
+    return _table(**dict(zip(names, bits)), separation=margins, threshold=np.full(len(rows), threshold))
 
 
 _CUTOFF = _check(lambda v: type(v) is int and 1 <= v <= MAX_CUTOFF, f"an integer from 1 to {MAX_CUTOFF}")
@@ -487,9 +478,9 @@ def run_stats(parsed, seed):
     s, q = parsed
     if q["distribution"]:
         p = fock_distribution(s, q["cutoff"])
-        return {"columns": ["n", "p"], "rows": ArrayRows(np.arange(p.size), p)}
+        return _table(n=np.arange(p.size), p=p)
     row = [s.alpha.real, s.alpha.imag, s.r, s.theta, *_moments(s)]
-    return {"columns": ["alpha_re", "alpha_im", "r", "theta", *_MOMENTS], "rows": [row]}
+    return _table(**dict(zip(["alpha_re", "alpha_im", "r", "theta", *_MOMENTS], np.array(row)[:, np.newaxis])))
 
 
 # ---------------------------------------------------------------- truth tables
@@ -637,7 +628,7 @@ def run_sweep(cfg):
         raise ConfigError("sweep stop - start must be a finite number")
     values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
     columns, rows = evaluate([_swept(cfg["parameters"], name, value) for value in values.tolist()])
-    return {"columns": ["value", *columns], "rows": ArrayRows(values, *rows.T)}
+    return _table(value=values, **dict(zip(columns, rows.T)))
 
 
 # ---------------------------------------------------------------- the backend table

@@ -81,7 +81,9 @@ class ModeRegister:
         m = amps.shape[0]
         if m < 1 or m & (m - 1):
             raise ValueError(f"mode count {m} is not a power of two")
-        if not abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-8:
+        with np.errstate(over="ignore"):  # a power too large for a float is inf: not normalized
+            power = np.sum(np.abs(amps) ** 2)
+        if not abs(power - 1.0) <= 1e-8:
             raise ValueError("total power is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -101,7 +103,9 @@ def encode_state(qubit_amplitudes) -> ModeRegister:
     dim = amps.size
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"amplitude count {dim} is not 2**n with n >= 1")
-    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-8:
+    with np.errstate(over="ignore"):  # a norm too large for a float is inf: not normalized
+        norm = np.linalg.norm(amps)
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValueError("input amplitudes are not normalized")
     return ModeRegister(amps.reshape(dim // 2, 2))
 
@@ -281,13 +285,3 @@ def gate_matrix(n_qubits: int, elements) -> np.ndarray:
     dim = 2**n_qubits
     identity = np.eye(dim, dtype=complex).reshape(dim // 2, 2, dim)
     return _propagate(identity, elements).reshape(dim, dim)
-
-
-def register_csv_rows(reg: ModeRegister):
-    """(mode, polarization, re, im, power) dump rows."""
-    rows = []
-    for m in range(reg.n_modes):
-        for p, label in ((H, "H"), (V, "V")):
-            a = reg.amplitudes[m, p]
-            rows.append((m, label, a.real, a.imag, abs(a) ** 2))
-    return rows

@@ -50,7 +50,9 @@ class SpinState:
         dim = amps.size
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"dimension {dim} is not 2**n with n >= 1")
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-8:
+        with np.errstate(over="ignore"):  # a norm too large for a float is inf: not normalized
+            norm = np.linalg.norm(amps)
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError("state is not normalized")
 
     @property
@@ -78,9 +80,6 @@ class HardRotation:
 
     def __post_init__(self):
         _check_finite(axis_angle=self.axis_angle, rotation_angle=self.rotation_angle)
-
-    def matrix(self):
-        return _rotation_matrix(self.axis_angle, self.rotation_angle).copy()
 
 
 @functools.lru_cache(maxsize=1024)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oqcsim
-from oqcsim import cli, rds, spin, squeezed
+from oqcsim import cli, jones, rds, spin, squeezed
 
 RDS_FAST = {
     "n_domains": 10,
@@ -203,29 +203,6 @@ def test_deterministic_outputs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_csv_payload_is_byte_identical_to_value_by_value():
-    # the reference: each value on its own, floats as .17g and anything else as str
-    def reference(payload):
-        def value(v):
-            return format(v, ".17g") if isinstance(v, float) else str(v)
-
-        return "".join(",".join(map(value, row)) + "\n" for row in [payload["columns"], *payload["rows"]])
-
-    nan, inf = float("nan"), float("inf")
-    rows = [
-        [0.1 + 0.2, 1e22, -0.0, 5e-324, 1.7976931348623157e308],
-        [nan, inf, -inf, np.float64(0.1), np.float64(nan)],
-        # shots up to 2**63 - 1, which %.17g would round
-        [1, 2**63 - 1, -(2**63), np.int64(7), 123456789012345678],
-        [True, False, "not", "%s%%", None],
-        [1, 2.5, "x", 3.0, True],
-        [2.5, 1, 3.0, "x", False],
-        [],
-    ]
-    payload = {"columns": ["a", "b", "c", "d", "e"], "rows": rows}
-    assert cli.payload_csv(payload) == reference(payload)
-
-
 def csv_reference(payload):
     """CSV text value by value: floats as .17g and anything else as str."""
 
@@ -241,6 +218,9 @@ def json_reference(payload):
     return json.dumps({"columns": payload["columns"], "rows": rows}, indent=2) + "\n"
 
 
+REFERENCES = {"csv": csv_reference, "json": json_reference}
+
+
 def written(payload, fmt, dest, tmp_path, capsys):
     """The bytes write_payload writes, to a file or to stdout."""
     capsys.readouterr()
@@ -253,42 +233,45 @@ def written(payload, fmt, dest, tmp_path, capsys):
     return out.read_bytes()
 
 
+def column_table(**columns):
+    """A payload of numpy columns, and the same table as a list of rows of Python values."""
+    rows = [list(row) for row in zip(*(a.tolist() for a in columns.values()))]
+    names = list(columns)
+    return {"columns": names, "rows": cli.ArrayRows(*columns.values())}, {"columns": names, "rows": rows}
+
+
+def test_csv_payload_is_byte_identical_to_value_by_value(tmp_path, capsys):
+    nan, inf = math.nan, math.inf
+    payload, reference = column_table(
+        a=np.array([0.1 + 0.2, nan, -inf, 1.7976931348623157e308]),
+        b=np.array([1e22, inf, -0.0, 5e-324]),
+        # shots up to 2**63 - 1, which %.17g would round
+        c=np.array([1, 2**63 - 1, -(2**63), 123456789012345678], dtype=np.int64),
+        d=np.array([True, False, True, False]),
+        e=np.array(["not", "%s%%", None, "x"], dtype=object),
+    )
+    assert written(payload, "csv", "stdout", tmp_path, capsys) == csv_reference(reference).encode()
+
+
 K = cli.CHUNK_ROWS
 ROW_COUNTS = [0, 1, K - 1, K, K + 1, 2 * K + 1]
 FLOATS = [0.1 + 0.2, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, np.float64(0.1), np.float64(math.nan)]
-NON_FLOATS = [1, 2**63 - 1, -(2**63), np.int64(7), True, False, 123456789012345678, "x", "%s%%", None]
-
-
-def table_rows(n, non_floats=NON_FLOATS):
-    """n rows of one float and two non-float columns.
-
-    Row 3 puts an int in the float column, so the first chunk has a
-    mixed-type column, and row K + 5 is one value short, so the second
-    chunk has ragged rows.
-    """
-    rows = []
-    for i in range(n):
-        row = [FLOATS[i % len(FLOATS)], non_floats[i % len(non_floats)], non_floats[(3 * i) % len(non_floats)]]
-        if i == 3:
-            row[0] = 3
-        if i == K + 5:
-            row.pop()
-        rows.append(row)
-    return rows
+INTS = [1, 2**63 - 1, -(2**63), 7, 123456789012345678]
+OBJECTS = ["x", "%s%%", None, "not"]
 
 
 @pytest.mark.parametrize("dest", ["file", "stdout"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_written_rows_are_byte_identical_to_value_by_value(tmp_path, capsys, n, fmt, dest):
-    # json cannot encode an np.int64
-    rows = table_rows(n, NON_FLOATS if fmt == "csv" else [v for v in NON_FLOATS if type(v) is not np.int64])
-    reference = {"csv": csv_reference, "json": json_reference}[fmt]({"columns": ["a", "b", "c"], "rows": rows})
-    # any iterable of rows: a generator is read once
-    payload = {"columns": ["a", "b", "c"], "rows": (row for row in rows)}
-    assert written(payload, fmt, dest, tmp_path, capsys) == reference.encode()
-    if fmt == "csv":
-        assert cli.payload_csv({"columns": ["a", "b", "c"], "rows": rows}) == reference
+    # a float, an int64, a bool and an object column, each cycling through its values
+    def cycle(values, dtype):
+        return np.array([values[i % len(values)] for i in range(n)], dtype=dtype)
+
+    payload, reference = column_table(
+        a=cycle(FLOATS, float), b=cycle(INTS, np.int64), c=cycle([True, False], bool), d=cycle(OBJECTS, object)
+    )
+    assert written(payload, fmt, dest, tmp_path, capsys) == REFERENCES[fmt](reference).encode()
 
 
 @pytest.mark.parametrize("dest", ["file", "stdout"])
@@ -299,9 +282,114 @@ def test_written_array_rows_are_byte_identical_to_value_by_value(tmp_path, capsy
     ints = np.arange(n, dtype=np.int64) * (2**62 // max(n, 1)) - 2**62
     columns = ["n", "p", "k"]
     rows = [[int(i), float(x), int(k)] for i, x, k in zip(range(n), floats, ints)]
-    reference = {"csv": csv_reference, "json": json_reference}[fmt]({"columns": columns, "rows": rows})
+    reference = REFERENCES[fmt]({"columns": columns, "rows": rows})
     payload = {"columns": columns, "rows": cli.ArrayRows(np.arange(n), floats, ints)}
     assert written(payload, fmt, dest, tmp_path, capsys) == reference.encode()
+
+
+# Row-by-row references: each runner's table built one row at a time from
+# the library calls, as (column names, rows) of its parameters and seed.
+
+
+def jones_rows(params, seed):
+    reg, elements = cli._parse_jones(params)
+    reg = jones.apply_network(reg, elements)
+    rows = []
+    for m in range(reg.n_modes):
+        for p, label in ((jones.H, "H"), (jones.V, "V")):
+            a = reg.amplitudes[m, p]
+            rows.append([m, label, a.real, a.imag, abs(a) ** 2])
+    return ["mode", "polarization", "re", "im", "power"], rows
+
+
+def spin_rows(params, seed):
+    state = spin.SpinState.basis(params["initial"])
+    gate = params.get("gate")
+    if gate == "not":
+        state = spin.apply_sequence(state, spin.compile_not(params["target"]), params["j12"])
+    elif gate == "cnot":
+        state = spin.apply_sequence(state, spin.compile_cnot(params["control"], params["target"], params["j12"]), params["j12"])
+    rows = [[format(i, "02b"), a.real, a.imag, abs(a) ** 2] for i, a in enumerate(state.amplitudes)]
+    if params.get("shots", 0) == 0:
+        return ["basis", "re", "im", "probability"], rows
+    counts = spin.measure(state, seed, params["shots"])
+    return ["basis", "re", "im", "probability", "counts"], [row + [counts.get(row[0], 0)] for row in rows]
+
+
+def rds_gate_rows(params, seed):
+    p, grid, _, q = cli._parse_rds(params)
+    cal = rds.calibrate_thresholds(grid, p, q["beam_amplitude"], q["steps_per_domain"])
+    if q["gate"] == "not":
+        names, table, separation, threshold = ["x", "y"], cli.NOT_TABLE, cal.separation_sh, cal.p_th2
+    else:
+        names, table, separation, threshold = ["x1", "x2", "y1", "y2"], cli.CNOT_TABLE, cal.separation_th, cal.p_th3
+    rows = [[*x, *rds.calibrated_gate(x, cal), separation, threshold] for x in sorted(table)]
+    return names + ["separation", "threshold"], rows
+
+
+def trajectory_rows(params, seed):
+    """Every sample_stride-th sample and the last: z, the parts of a1, a2 and a3, and the Manley-Rowe flux."""
+    p, grid, fields, q = cli._parse_rds(params)
+    traj = rds.propagate(fields, grid, p, q["steps_per_domain"])
+    n = traj.manley_rowe()
+    idx = list(range(0, len(traj.z), q["sample_stride"]))
+    if idx[-1] != len(traj.z) - 1:
+        idx.append(len(traj.z) - 1)
+    rows = []
+    for i in idx:
+        a1, a2, a3 = traj.fields[i]
+        rows.append([traj.z[i], a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag, n[i]])
+    return ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"], rows
+
+
+def stats_rows(params, seed):
+    s, q = cli._parse_stats(params)
+    if q["distribution"]:
+        return ["n", "p"], [[n, p] for n, p in enumerate(squeezed.fock_distribution(s, q["cutoff"]).tolist())]
+    st = squeezed.closed_form_stats(s)
+    row = [s.alpha.real, s.alpha.imag, s.r, s.theta, st.mean_n, st.var_n, st.mandel_q, st.g2_zero]
+    return ["alpha_re", "alpha_im", "r", "theta", "mean_n", "var_n", "mandel_q", "g2_zero"], [row]
+
+
+_amplitudes = np.random.default_rng(5).normal(size=(64, 2))  # [re, im] pairs
+RANDOM_INPUT = (_amplitudes / np.linalg.norm(_amplitudes)).tolist()
+SPIN_CNOT = {"gate": "cnot", "control": 0, "target": 1, "j12": -0.37, "initial": "10"}
+RUNS = {
+    "jones-basis-1": (jones_rows, {"basis": "1"}),
+    "jones-gates-3": (jones_rows, {"basis": "101", "gates": [{"type": "cnot", "control": 0, "target": 2}]}),
+    "jones-elements-6": (
+        jones_rows,
+        {"basis": "110010", "elements": [{"type": "waveplate", "delta": 0.7, "theta": 0.3}, {"type": "rotator", "angle": 0.2}]},
+    ),
+    "jones-input-3": (jones_rows, {"input": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8]] + [[0.0, 0.0]] * 5}),
+    # 64 random amplitudes: numpy's vectorised abs differs from the scalar one in the last bit of some
+    "jones-input-6": (jones_rows, {"input": RANDOM_INPUT, "gates": [{"type": "not", "qubit": 2}]}),
+    "spin-basis": (spin_rows, {"initial": "01"}),
+    "spin-not-shots": (spin_rows, {"gate": "not", "target": 0, "j12": 0.1, "initial": "11", "shots": 1000}),
+    "spin-cnot-max-shots": (spin_rows, dict(SPIN_CNOT, shots=cli.MAX_SHOTS)),
+    "rds-not": (rds_gate_rows, {"gate": "not"}),
+    "rds-cnot": (rds_gate_rows, {"gate": "cnot"}),
+    "rds-not-faint-beam": (rds_gate_rows, {"gate": "not", "beam_amplitude": 1e-40}),
+    **{
+        f"trajectory-stride-{stride}": (trajectory_rows, {"a1": [0.2, 0.0], "kappa_b": 1.0, "sample_stride": stride})
+        for stride in (1, 7, 40, 10**6)
+    },
+    "stats-vacuum": (stats_rows, {}),
+    "stats-row": (stats_rows, {"alpha": [1.3, -0.4], "r": 0.6, "theta": 0.9}),
+    "stats-distribution": (stats_rows, {"alpha": [2.0, 0.5], "r": 0.3, "cutoff": 400, "distribution": True}),
+}
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_run_output_is_byte_identical_to_row_by_row(tmp_path, case):
+    reference, params = RUNS[case]
+    columns, rows = reference(params, 11)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        cfg = {"backend": case.split("-")[0].replace("trajectory", "rds"), "parameters": params, "seed": 11}
+        cfg["output"] = {"path": str(out), "format": fmt}
+        assert cli.main(["run", "--config", write_config(tmp_path, "run.json", cfg)]) == 0
+        assert out.read_bytes() == REFERENCES[fmt]({"columns": columns, "rows": rows}).encode(), fmt
 
 
 def test_distribution_run_memory_is_set_by_the_distribution(tmp_path):
@@ -543,6 +631,8 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
         ("run", {"backend": "rds", "parameters": dict(RDS_FAST, a1=[float("nan"), 0.0])}, None),
         ("run", {"backend": "rds", "parameters": dict(RDS_FAST, a1=[True, 0.0])}, None),
         ("run", {"backend": "jones", "parameters": {"input": [[float("nan"), 0.0], [0.0, 0.0]]}}, None),
+        # a norm beyond float range is not normalized, without numpy's overflow warning
+        ("run", {"backend": "jones", "parameters": {"input": [[1e200, 0.0], [0.0, 0.0]]}}, None),
         ("run", {"backend": "rds", "parameters": dict(RDS_FAST, grid_file=["g.txt"])}, None),
         ("run", {"backend": "stats", "parameters": {"r": 10**400}}, None),
         ("run", {"backend": "stats", "parameters": {}, "output": {"path": ["x.csv"]}}, None),
@@ -610,6 +700,7 @@ OVERFLOWING_RANGE = {"start": -1e308, "stop": 1e308, "count": 2}
         "rds-a1-nan",
         "rds-a1-bool",
         "jones-input-nan",
+        "jones-input-norm-overflows",
         "rds-grid-file-not-string",
         "stats-r-beyond-float-range",
         "output-path-not-string",

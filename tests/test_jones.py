@@ -119,6 +119,14 @@ def test_encode_single_qubit():
 def test_encode_rejects_unnormalized():
     with pytest.raises(ValueError):
         jones.encode_state([1.0, 1.0])
+    # a norm or power beyond float range is not normalized, and numpy does not warn
+    for build in (
+        lambda: jones.encode_state([1e200, 0.0]),
+        lambda: jones.ModeRegister(np.array([[1e200, 0.0]])),
+        lambda: jones.ModeRegister(np.array([[complex(1.7e308, 1.7e308), 0.0]])),
+    ):
+        with pytest.raises(ValueError, match="not normalized"):
+            build()
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,8 @@ def reference_sequence_unitary(segments, n, j12):
         if isinstance(seg, spin.HardRotation):
             step = np.eye(1, dtype=complex)
             for k in range(n):
-                step = np.kron(step, seg.matrix() if k == seg.spin else np.eye(2))
+                rot = spin._rotation_matrix(seg.axis_angle, seg.rotation_angle)
+                step = np.kron(step, rot if k == seg.spin else np.eye(2))
         else:
             step = np.diag(np.exp(-1j * j12 * np.array([1.0, -1.0, -1.0, 1.0]) * seg.duration))
         u = step @ u
@@ -56,12 +57,12 @@ def test_hard_rotation_unitary():
     rng = np.random.default_rng(7)
     for _ in range(50):
         seg = spin.HardRotation(0, rng.uniform(0, 2 * math.pi), rng.normal() * 4)
-        u = seg.matrix()
+        u = spin._rotation_matrix(seg.axis_angle, seg.rotation_angle)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
 def uncached_rotation(axis_angle, rotation_angle):
-    """The hard-rotation formula as HardRotation.matrix built it on every call."""
+    """The hard-rotation formula, built anew on every call."""
     axis = math.cos(axis_angle) * spin.SIGMA_X + math.sin(axis_angle) * spin.SIGMA_Y
     half = 0.5 * rotation_angle
     return math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
@@ -75,12 +76,13 @@ def test_cached_rotation_is_bitwise_the_formula():
         # twice: the second call is served from the cache
         for _ in range(2):
             assert spin._rotation_matrix(axis_angle, rotation_angle).tobytes() == want
-            assert spin.HardRotation(0, axis_angle, rotation_angle).matrix().tobytes() == want
 
 
 def test_cached_rotation_is_read_only_and_matrix_is_a_copy():
     assert not spin._rotation_matrix(0.3, 1.1).flags.writeable
-    m = spin.HardRotation(1, 0.3, 1.1).matrix()
+    # the unitary of one rotation has the cached matrix's values in an array of its own
+    m = spin.sequence_unitary([spin.HardRotation(0, 0.3, 1.1)], 1, 0.0)
+    assert np.array_equal(m, spin._rotation_matrix(0.3, 1.1))
     m[:] = 0.0
     assert spin._rotation_matrix(0.3, 1.1).tobytes() == uncached_rotation(0.3, 1.1).tobytes()
 
@@ -340,4 +342,6 @@ def test_state_validation():
         spin.SpinState(np.array([1.0, 0.0, 0.0]))  # not 2**n
     with pytest.raises(ValueError):
         spin.SpinState(np.array([1.0, 1.0]))  # not normalized
+    with pytest.raises(ValueError, match="not normalized"):
+        spin.SpinState(np.array([1e200, 0.0]))  # a norm beyond float range, without numpy's warning
 
