@@ -2,7 +2,8 @@
 
 Subcommands: run (execute one experiment config), truthtable (verify the
 NOT/CNOT tables across backends), sweep (one-parameter scan), version.
-Exit codes: 0 success, 1 physics/calibration failure, 2 config error.
+Exit codes: 0 success, 1 physics/calibration failure, 2 config error,
+141 stdout closed before the output was written (as a SIGPIPE kill).
 Configs are strict JSON: any unknown key is a hard error.  Outputs are
 CSV (17 significant digits) or JSON, byte-identical for identical
 config + seed.
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,11 +37,12 @@ from .truthtable import (
 EXIT_OK = 0
 EXIT_PHYSICS = 1
 EXIT_CONFIG = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 # Largest spin "shots": the multinomial sampler counts in int64.
 MAX_SHOTS = 2**63 - 1
 # Largest stats "cutoff": the time and memory of a distribution run grow
-# in proportion to it, to about 0.65 s and 92 MB for CSV at this cap.
+# in proportion to it, to about 0.8 s and 92 MB at this cap, in CSV or JSON.
 MAX_CUTOFF = 10**6
 
 
@@ -155,35 +158,10 @@ def load_config(path):
 # ---------------------------------------------------------------- output
 
 
-# A payload is {"columns": names, "rows": ArrayRows}.  CSV is written
-# CHUNK_ROWS rows at a time, so its memory is set by the chunk, not by the
-# table; JSON is one document.
+# A table is {column name: numpy array}: equal-length columns, in output
+# order.  It is written CHUNK_ROWS rows at a time, so the writer's memory is
+# set by the chunk, not by the table.
 CHUNK_ROWS = 4096
-
-
-class ArrayRows:
-    """Table rows held as equal-length numpy column arrays, turned into Python values a chunk at a time.
-
-    The CSV writer formats a float column as .17g and any other as str,
-    from its dtype, without looking at the values.
-    """
-
-    def __init__(self, *arrays):
-        self.arrays = arrays
-
-    def chunks(self):
-        """The column lists of each chunk of at most CHUNK_ROWS rows."""
-        for start in range(0, len(self.arrays[0]), CHUNK_ROWS):
-            yield [a[start : start + CHUNK_ROWS].tolist() for a in self.arrays]
-
-    def __iter__(self):
-        for columns in self.chunks():
-            yield from zip(*columns)
-
-
-def _table(**columns):
-    """Payload of named numpy columns, in the order given."""
-    return {"columns": list(columns), "rows": ArrayRows(*columns.values())}
 
 
 def _powers(amplitudes):
@@ -191,36 +169,42 @@ def _powers(amplitudes):
     return np.array([abs(a) ** 2 for a in amplitudes], dtype=float)
 
 
-def _csv_chunks(payload):
-    """CSV text of a payload: the header, then one string per chunk.
+def _json_cells(column):
+    """The cells of a column chunk as values whose %s is their JSON text."""
+    if column.dtype.kind in "iu":
+        return column.tolist()
+    if column.dtype.kind == "f":
+        return [v if math.isfinite(v) else "null" for v in column.tolist()]
+    return [json.dumps(v) for v in column.tolist()]
 
-    A chunk is one %-format: the row format repeated per row, applied to
-    the chunk's values laid out row by row.
+
+def _table_text(table, fmt):
+    """Text of a table in fmt: the head, one string per chunk, then the tail.
+
+    A chunk is one %-format: the row template repeated per row, applied to
+    the chunk's cells laid out row by row.  CSV writes a float column as
+    .17g and any other as %s.  JSON is json.dumps({"columns", "rows"},
+    indent=2), a non-finite float written as null.
     """
-    yield ",".join(payload["columns"]) + "\n"
-    rows = payload["rows"]
-    width = len(rows.arrays)
-    fmt = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in rows.arrays) + "\n"
-    for columns in rows.chunks():
-        n = len(columns[0])
-        values = [None] * (width * n)
-        for j, column in enumerate(columns):
-            values[j::width] = column
-        yield fmt * n % tuple(values)
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def payload_json(payload):
-    safe = {
-        "columns": payload["columns"],
-        "rows": [[_json_safe(v) for v in row] for row in payload["rows"]],
-    }
-    return json.dumps(safe, indent=2) + "\n"
+    names, columns = list(table), list(table.values())
+    if fmt == "json":
+        head = json.dumps({"columns": names}, indent=2)[:-2] + ',\n  "rows": ['
+        row = "\n    [\n" + ",\n".join(["      %s"] * len(names)) + "\n    ]"
+        sep, cells = ",", _json_cells
+        tail = ("\n  ]" if len(columns[0]) else "]") + "\n}\n"
+    else:
+        head = ",".join(names) + "\n"
+        row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+        sep, cells, tail = "", np.ndarray.tolist, ""
+    yield head
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        chunk = [cells(c[start : start + CHUNK_ROWS]) for c in columns]
+        n = len(chunk[0])
+        values = [None] * (len(chunk) * n)
+        for j, c in enumerate(chunk):
+            values[j :: len(chunk)] = c
+        yield (sep if start else "") + sep.join([row] * n) % tuple(values)
+    yield tail
 
 
 def _write_text(texts, out_path):
@@ -237,7 +221,8 @@ def _write_text(texts, out_path):
 
 
 def write_payload(payload, out_path, fmt):
-    _write_text([payload_json(payload)] if fmt == "json" else _csv_chunks(payload), out_path)
+    """Write a table in fmt ("csv" or "json") to out_path, or to stdout if it is None."""
+    _write_text(_table_text(payload, fmt), out_path)
 
 
 # ---------------------------------------------------------------- backends
@@ -289,7 +274,7 @@ def run_spin(q, seed):
     if q["shots"] > 0:
         counts = spin.measure(state, seed, q["shots"])
         columns["counts"] = np.array([counts.get(b, 0) for b in basis], dtype=np.int64)  # shots fit in int64
-    return _table(**columns)
+    return columns
 
 
 def _modes(v, what):
@@ -362,7 +347,7 @@ def run_jones(parsed, seed):
     reg, elements = parsed
     amps = jones.apply_network(reg, elements).amplitudes.ravel()  # mode by mode, H then V
     modes, polarizations = np.arange(amps.size) // 2, np.tile(["H", "V"], amps.size // 2)
-    return _table(mode=modes, polarization=polarizations, re=amps.real, im=amps.imag, power=_powers(amps))
+    return dict(mode=modes, polarization=polarizations, re=amps.real, im=amps.imag, power=_powers(amps))
 
 
 _LENGTH = 'a positive number or "coherence"'
@@ -434,7 +419,7 @@ def run_rds(parsed, seed):
         idx = [*range(0, last, q["sample_stride"]), last]  # every stride-th sample and the last
         parts = traj.fields[idx].view(float).T  # re a1, im a1, re a2, ...
         names = ["re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3"]
-        return _table(z=traj.z[idx], **dict(zip(names, parts)), manley_rowe=traj.manley_rowe()[idx])
+        return {"z": traj.z[idx], **dict(zip(names, parts)), "manley_rowe": traj.manley_rowe()[idx]}
     cal, gates = _rds_gates(parsed, (q["gate"].upper(),))
     if q["gate"] == "not":
         names, table, threshold = ["x", "y"], NOT_TABLE, cal.p_th2
@@ -442,7 +427,7 @@ def run_rds(parsed, seed):
         names, table, threshold = ["x1", "x2", "y1", "y2"], CNOT_TABLE, cal.p_th3
     rows = _gate_rows(gates[q["gate"].upper()], table)
     bits, margins = np.array([[*r.inputs, *r.observed] for r in rows]).T, np.array([r.margin for r in rows])
-    return _table(**dict(zip(names, bits)), separation=margins, threshold=np.full(len(rows), threshold))
+    return dict(zip(names, bits), separation=margins, threshold=np.full(len(rows), threshold))
 
 
 _CUTOFF = _check(lambda v: type(v) is int and 1 <= v <= MAX_CUTOFF, f"an integer from 1 to {MAX_CUTOFF}")
@@ -478,9 +463,9 @@ def run_stats(parsed, seed):
     s, q = parsed
     if q["distribution"]:
         p = fock_distribution(s, q["cutoff"])
-        return _table(n=np.arange(p.size), p=p)
+        return {"n": np.arange(p.size), "p": p}
     row = [s.alpha.real, s.alpha.imag, s.r, s.theta, *_moments(s)]
-    return _table(**dict(zip(["alpha_re", "alpha_im", "r", "theta", *_MOMENTS], np.array(row)[:, np.newaxis])))
+    return dict(zip(["alpha_re", "alpha_im", "r", "theta", *_MOMENTS], np.array(row)[:, np.newaxis]))
 
 
 # ---------------------------------------------------------------- truth tables
@@ -579,13 +564,12 @@ def _rds_sweep(rows):
     p1, p2, p3 = np.abs(final) ** 2
     p1_in = np.array([abs(fields.a1) ** 2 for fields, _, _ in cases])
     efficiency = np.divide(p2, p1_in, out=np.zeros_like(p2), where=p1_in > 0)
-    columns = ["p1_out", "p2_out", "p3_out", "efficiency_sh", "manley_drift"]
-    return columns, np.column_stack((p1, p2, p3, efficiency, drift))
+    return {"p1_out": p1, "p2_out": p2, "p3_out": p3, "efficiency_sh": efficiency, "manley_drift": drift}
 
 
 def _stats_sweep(rows):
     parsed = [_parse_stats(row) for row in rows]
-    return _MOMENTS, np.array([_moments(s) for s, _ in parsed])
+    return dict(zip(_MOMENTS, np.array([_moments(s) for s, _ in parsed]).T))
 
 
 def _spin_sweep(rows):
@@ -607,11 +591,11 @@ def _spin_sweep(rows):
             rotations, members = key, groups.setdefault(key, [])
         members.append(i)
     ideal = permutation_matrix(permutation(parsed[0]))
-    fidelity = np.empty((len(parsed), 1))
+    fidelity = np.empty(len(parsed))
     for members in groups.values():
         unitaries = spin.sequence_unitaries([sequences[i] for i in members], 2, [parsed[i]["j12"] for i in members])
-        fidelity[members, 0] = [spin.gate_fidelity(ideal, u) for u in unitaries]
-    return ["fidelity"], fidelity
+        fidelity[members] = [spin.gate_fidelity(ideal, u) for u in unitaries]
+    return {"fidelity": fidelity}
 
 
 def run_sweep(cfg):
@@ -627,17 +611,16 @@ def run_sweep(cfg):
     if not math.isfinite(sweep["stop"] - sweep["start"]):
         raise ConfigError("sweep stop - start must be a finite number")
     values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
-    columns, rows = evaluate([_swept(cfg["parameters"], name, value) for value in values.tolist()])
-    return _table(value=values, **dict(zip(columns, rows.T)))
+    return dict(value=values, **evaluate([_swept(cfg["parameters"], name, value) for value in values.tolist()]))
 
 
 # ---------------------------------------------------------------- the backend table
 
 # backend -> (parser of its parameters, runner of the parsed parameters and the
-# seed, sweep parameters, evaluator of the raw sweep rows, which parses every
-# row before it evaluates any: (column names, a float array of one row per
-# row), builder of its truth-table gates, or None).  The truthtable command defaults to the backends with gates, in
-# this order.
+# seed, which returns a table, sweep parameters, evaluator of the raw sweep
+# rows, which parses every row before it evaluates any and returns their
+# table, builder of its truth-table gates, or None).  The truthtable command
+# defaults to the backends with gates, in this order.
 BACKENDS = {
     "spin": (_parse_spin, run_spin, ("j12",), _spin_sweep, _spin_gates),
     "jones": (_parse_jones, run_jones, (), None, _jones_gates),
@@ -736,13 +719,21 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _PHYSICS_ERRORS as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the exit flush prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -234,10 +234,9 @@ def written(payload, fmt, dest, tmp_path, capsys):
 
 
 def column_table(**columns):
-    """A payload of numpy columns, and the same table as a list of rows of Python values."""
+    """A table of numpy columns, and the same table as a list of rows of Python values."""
     rows = [list(row) for row in zip(*(a.tolist() for a in columns.values()))]
-    names = list(columns)
-    return {"columns": names, "rows": cli.ArrayRows(*columns.values())}, {"columns": names, "rows": rows}
+    return columns, {"columns": list(columns), "rows": rows}
 
 
 def test_csv_payload_is_byte_identical_to_value_by_value(tmp_path, capsys):
@@ -257,20 +256,29 @@ K = cli.CHUNK_ROWS
 ROW_COUNTS = [0, 1, K - 1, K, K + 1, 2 * K + 1]
 FLOATS = [0.1 + 0.2, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, np.float64(0.1), np.float64(math.nan)]
 INTS = [1, 2**63 - 1, -(2**63), 7, 123456789012345678]
+# no chunk of a column cycling through these holds a non-finite value
+FINITE_FLOATS = [0.1 + 0.2, -0.0, 5e-324, 1e22, -1.7976931348623157e308, np.float64(0.1), 3.0]
 OBJECTS = ["x", "%s%%", None, "not"]
+STRINGS = ["00", 'say "hi"', "%s%%", "\u00e4\\", ""]
 
 
 @pytest.mark.parametrize("dest", ["file", "stdout"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_written_rows_are_byte_identical_to_value_by_value(tmp_path, capsys, n, fmt, dest):
-    # a float, an int64, a bool and an object column, each cycling through its values
+    # float, int64, bool, object, finite float and numpy string columns, each cycling through its values
     def cycle(values, dtype):
         return np.array([values[i % len(values)] for i in range(n)], dtype=dtype)
 
     payload, reference = column_table(
-        a=cycle(FLOATS, float), b=cycle(INTS, np.int64), c=cycle([True, False], bool), d=cycle(OBJECTS, object)
+        a=cycle(FLOATS, float),
+        b=cycle(INTS, np.int64),
+        c=cycle([True, False], bool),
+        d=cycle(OBJECTS, object),
+        e=cycle(FINITE_FLOATS, float),
+        f=cycle(STRINGS, str),
     )
+    assert payload["f"].dtype.kind == "U"
     assert written(payload, fmt, dest, tmp_path, capsys) == REFERENCES[fmt](reference).encode()
 
 
@@ -283,7 +291,7 @@ def test_written_array_rows_are_byte_identical_to_value_by_value(tmp_path, capsy
     columns = ["n", "p", "k"]
     rows = [[int(i), float(x), int(k)] for i, x, k in zip(range(n), floats, ints)]
     reference = REFERENCES[fmt]({"columns": columns, "rows": rows})
-    payload = {"columns": columns, "rows": cli.ArrayRows(np.arange(n), floats, ints)}
+    payload = dict(zip(columns, [np.arange(n), floats, ints]))
     assert written(payload, fmt, dest, tmp_path, capsys) == reference.encode()
 
 
@@ -392,11 +400,14 @@ def test_run_output_is_byte_identical_to_row_by_row(tmp_path, case):
         assert out.read_bytes() == REFERENCES[fmt]({"columns": columns, "rows": rows}).encode(), fmt
 
 
-def test_distribution_run_memory_is_set_by_the_distribution(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_distribution_run_memory_is_set_by_the_distribution(tmp_path, fmt):
     # the writer holds one chunk of rows: a run peaks about where fock_distribution does
     params = {"alpha": [30.0, 0.0], "r": 0.5, "cutoff": 10**5}
     cfg = write_config(
-        tmp_path, "dist.json", {"backend": "stats", "parameters": dict(params, distribution=True)}
+        tmp_path,
+        "dist.json",
+        {"backend": "stats", "parameters": dict(params, distribution=True), "output": {"format": fmt}},
     )
     state = squeezed.SqueezedStateParams(complex(*params["alpha"]), params["r"])
     tracemalloc.start()
@@ -406,11 +417,13 @@ def test_distribution_run_memory_is_set_by_the_distribution(tmp_path):
         fock_peak = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "p.out")]) == 0
         run_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert len((tmp_path / "p.csv").read_text().splitlines()) == params["cutoff"] + 2
+    text = (tmp_path / "p.out").read_text()
+    rows = json.loads(text)["rows"] if fmt == "json" else text.splitlines()[1:]
+    assert len(rows) == params["cutoff"] + 1
     assert run_peak < 1.2 * fock_peak, (run_peak, fock_peak)
 
 
@@ -897,17 +910,20 @@ def test_truthtable_unwritable_out_is_config_error(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("config error:")
 
 
-def run_module_with_warnings_as_errors(*args):
+def module_command(*args):
+    """Keyword arguments of subprocess calls that run the CLI module of this checkout, warnings as errors."""
     root = Path(__file__).parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "oqcsim.cli", *args],
+    return dict(
+        args=[sys.executable, "-W", "error", "-m", "oqcsim.cli", *args],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True,
         text=True,
-        timeout=120,
     )
+
+
+def run_module_with_warnings_as_errors(*args):
+    return subprocess.run(**module_command(*args), capture_output=True, timeout=120)
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -926,6 +942,19 @@ def test_overflowing_distribution_is_one_line_physics_error_without_warnings(tmp
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("physics error:"), result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, fmt):
+    # the reader takes one line and closes the pipe, as `| head -1` does; the table is larger than a pipe holds
+    params = {"alpha": [30.0, 0.0], "r": 0.5, "cutoff": 10**5, "distribution": True}
+    cfg = write_config(tmp_path, "dist.json", {"backend": "stats", "parameters": params, "output": {"format": fmt}})
+    with subprocess.Popen(**module_command("run", "--config", cfg), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() != ""
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    assert stderr == ""
+    assert proc.returncode == cli.EXIT_PIPE == 141
 
 
 @pytest.fixture
@@ -1106,9 +1135,9 @@ def test_spin_sweep_is_one_kernel_call_per_rotation_sequence(
 def test_spin_sweep_rows_are_bitwise_the_per_row_fidelity(params, start, stop, count):
     values = [float(v) for v in np.linspace(start, stop, count)]
     parsed = [cli._parse_spin(dict(params, j12=v)) for v in values]
-    _, rows = cli._spin_sweep(parsed)
-    assert len(rows) == count
-    for q, (fidelity,) in zip(parsed, rows):
+    fidelities = cli._spin_sweep(parsed)["fidelity"]
+    assert len(fidelities) == count
+    for q, fidelity in zip(parsed, fidelities):
         assert fidelity.hex() == cli._spin_fidelity(q, q["gate"])[1].hex()
 
 

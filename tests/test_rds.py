@@ -461,16 +461,17 @@ def test_diverging_integration_raises(recwarn, kappa_a, a1):
     assert len(recwarn) == 0
 
 
-def test_trajectory_csv_rows(calibrated):
+def test_trajectory_dump_columns(calibrated):
     # the trajectory dump of a run: every 100th of the 1,601 samples and the last, 8 columns
     p, grid, _ = calibrated
     q = {"gate": None, "steps_per_domain": rds.DEFAULT_STEPS_PER_DOMAIN, "sample_stride": 100}
-    payload = cli.run_rds((p, grid, rds.FieldTriple(0.1, 0, 0), q), 0)
-    rows = list(payload["rows"])
-    assert len(payload["columns"]) == 8 and len(rows) == 17
-    assert rows[0][0] == 0.0
-    assert rows[-1][0] == pytest.approx(grid.total_length, rel=1e-12)
-    assert all(len(row) == 8 for row in rows)
+    table = cli.run_rds((p, grid, rds.FieldTriple(0.1, 0, 0), q), 0)
+    names = ["z", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3", "manley_rowe"]
+    assert list(table) == names
+    assert all(len(table[name]) == 17 for name in names)
+    assert table["z"][0] == 0.0
+    assert table["z"][-1] == pytest.approx(grid.total_length, rel=1e-12)
+    assert table["re_a1"][0] == 0.1 and table["im_a1"][0] == 0.0
 
 
 # ---------------------------------------------------------------- kernel vs scalar reference
