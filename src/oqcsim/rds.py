@@ -35,7 +35,8 @@ maps solutions to solutions exactly in floating point, calibration
 propagates 2A alone in one kernel call.  Its SH and TH powers P2 and P3
 are the bright levels of the 2A and -2A pumps, the dark level of the 0
 pump is exactly 0, and `calibrated_gate` reads every gate output from
-these levels.
+these levels.  A zero threshold, which no level crosses, never fails
+calibration: only a gate read of that channel raises CalibrationError.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class PhaseMatchedError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """Logic levels are not separable; thresholds cannot be set."""
+    """A gate reads a channel whose logic levels are not separable: its threshold is 0."""
 
 
 class DivergenceError(ArithmeticError):
@@ -475,7 +476,9 @@ class LogicThresholds:
 
     p2 and p3 are the SH and TH output powers of the bright pumps, 2A and
     -2A, which inputs with 0 or 2 one-bits make; the dark pump 0 of inputs
-    with one one-bit gives exactly 0 in both channels.
+    with one one-bit gives exactly 0 in both channels.  A threshold is 0
+    when its bright level is too faint to separate from the dark one, and
+    `calibrated_gate` then refuses to read that channel.
     """
 
     p_th2: float
@@ -496,7 +499,6 @@ def calibrate_thresholds(
     params: CoupledModeParams,
     beam_amplitude: float,
     steps_per_domain: int = DEFAULT_STEPS_PER_DOMAIN,
-    gates=("NOT", "CNOT"),
 ) -> LogicThresholds:
     """Simulate all logic inputs and place thresholds between the levels.
 
@@ -511,9 +513,9 @@ def calibrate_thresholds(
     A threshold is 0 if its bright level is 0 (every TH level without SFG,
     kappa_b = 0) or below about 2.5e-309 (the TH level at beam amplitudes
     below about 3e-51 on the default crystal); its separation is then 0.
-    Raises CalibrationError if and only if a channel read by one of gates
-    has a zero threshold: SH for "NOT", TH for "CNOT".  Thresholds are only
-    valid for this beam amplitude.
+    Calibration never fails on a zero threshold: `calibrated_gate` raises
+    when it reads that channel.  Thresholds are only valid for this beam
+    amplitude.
     """
     if beam_amplitude <= 0:
         raise ValueError("beam_amplitude must be positive")
@@ -521,11 +523,6 @@ def calibrate_thresholds(
     final = propagate_many([(FieldTriple(2.0 * beam_amplitude, 0.0, 0.0), grid, params)], steps_per_domain)[0]
     p2, p3 = (float(x) for x in np.abs(final[1:, 0]) ** 2)
     p_th2, p_th3 = p2 * 1e-15, p3 * 1e-15
-    thresholds = {"NOT": p_th2, "CNOT": p_th3}
-    if any(thresholds[gate] == 0.0 for gate in gates):
-        raise CalibrationError(
-            f"logic levels not separable: SH bright={p2:.3e} dark=0.000e+00, TH bright={p3:.3e} dark=0.000e+00"
-        )
     return LogicThresholds(p_th2, p_th3, _separation(p2, p_th2), _separation(p3, p_th3), p2, p3)
 
 
@@ -537,13 +534,16 @@ def calibrated_gate(inputs, cal: LogicThresholds):
     P2(L) >= p_th2.  CNOT passes the control through; equal bits interfere
     constructively and drive the cascaded third harmonic high, so the XOR
     target is 1 iff P3(L) < p_th3.  Raises CalibrationError if the channel
-    read has a zero threshold, which no level crosses.
+    read, SH for NOT and TH for CNOT, has a zero threshold, which no level
+    crosses; this is the only place a zero threshold fails.
     """
     if len(inputs) not in (1, 2) or any(x not in (0, 1) for x in inputs):
         raise ValueError(f"gate inputs must be one or two bits, each 0 or 1, got {tuple(inputs)}")
     if (cal.p_th2 if len(inputs) == 1 else cal.p_th3) == 0.0:
-        channel = "SH" if len(inputs) == 1 else "TH"
-        raise CalibrationError(f"logic levels not separable: {channel} threshold is 0")
+        raise CalibrationError(
+            f"logic levels not separable: SH bright={cal.p2:.3e} dark=0.000e+00, "
+            f"TH bright={cal.p3:.3e} dark=0.000e+00"
+        )
     bright = sum(inputs) != 1
     if len(inputs) == 1:
         return (1 if (cal.p2 if bright else 0.0) >= cal.p_th2 else 0,)

@@ -7,8 +7,6 @@ and XORs it into the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 NOT_TABLE = {(0,): (1,), (1,): (0,)}
@@ -76,43 +74,3 @@ def permutation_matrix(perm):
     m[perm, np.arange(dim)] = 1.0
     return m
 
-
-@dataclass(frozen=True)
-class TruthTableRow:
-    inputs: tuple
-    expected: tuple
-    observed: tuple
-    margin: float
-
-    @property
-    def ok(self):
-        return self.observed == self.expected
-
-
-@dataclass
-class TruthTableReport:
-    gate: str
-    backend: str
-    rows: list = field(default_factory=list)
-    error: str | None = None
-
-    @property
-    def passed(self):
-        return self.error is None and all(r.ok for r in self.rows)
-
-    def to_dict(self):
-        return {
-            "gate": self.gate,
-            "backend": self.backend,
-            "pass": self.passed,
-            "error": self.error,
-            "rows": [
-                {
-                    "inputs": list(r.inputs),
-                    "expected": list(r.expected),
-                    "observed": list(r.observed),
-                    "margin": r.margin,
-                }
-                for r in self.rows
-            ],
-        }

@@ -444,6 +444,61 @@ def test_truthtable_defaults_to_every_backend_with_gates(capsys):
     assert verdicts == [f"[{b}] {gate}: PASS" for b in ("spin", "jones", "rds") for gate in ("NOT", "CNOT")]
 
 
+def test_truthtable_report_layout(tmp_path, capsys):
+    out = tmp_path / "tt.json"
+    assert cli.main(["truthtable", "--backends", "jones", "--out", str(out)]) == 0
+    text = out.read_text()
+    reports = json.loads(text)
+    assert text == json.dumps(reports, indent=2) + "\n"
+    assert [list(rep) for rep in reports] == [["gate", "backend", "pass", "error", "rows"]] * 2
+    assert [(rep["gate"], rep["backend"], rep["pass"], rep["error"]) for rep in reports] == [
+        ("NOT", "jones", True, None),
+        ("CNOT", "jones", True, None),
+    ]
+    rows = [row for rep in reports for row in rep["rows"]]
+    assert [list(row) for row in rows] == [["inputs", "expected", "observed", "margin"]] * 6
+    assert [row["inputs"] for row in rows] == [[0], [1], [0, 0], [0, 1], [1, 0], [1, 1]]
+    assert all(row["observed"] == row["expected"] and row["margin"] == 1.0 for row in rows)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "[jones] NOT: in=0 expected=1 observed=1 margin=1",
+        "[jones] NOT: in=1 expected=0 observed=0 margin=1",
+        "[jones] NOT: PASS",
+        "[jones] CNOT: in=00 expected=00 observed=00 margin=1",
+        "[jones] CNOT: in=01 expected=01 observed=01 margin=1",
+        "[jones] CNOT: in=10 expected=11 observed=11 margin=1",
+        "[jones] CNOT: in=11 expected=10 observed=10 margin=1",
+        "[jones] CNOT: PASS",
+    ]
+
+
+@pytest.mark.parametrize("failing", ["builder", "cnot"])
+def test_truthtable_error_report(tmp_path, monkeypatch, capsys, failing):
+    # a physics error in a backend's gates gives one error report for the
+    # backend, with no rows, even if its NOT passed before its CNOT raised
+    message = "levels forced together"
+    jones_gates = cli._GATE_BACKENDS["jones"]
+
+    def cnot(inputs):
+        raise rds.CalibrationError(message)
+
+    def broken():
+        if failing == "builder":
+            raise rds.CalibrationError(message)
+        return {**jones_gates(), "CNOT": cnot}
+
+    monkeypatch.setitem(cli._GATE_BACKENDS, "jones", broken)
+    out = tmp_path / "tt.json"
+    assert cli.main(["truthtable", "--backends", "jones", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[jones] NOT+CNOT: ERROR {message}\n"
+    reports = json.loads(out.read_text())
+    assert reports == [{"gate": "NOT+CNOT", "backend": "jones", "pass": False, "error": message, "rows": []}]
+    assert list(reports[0]) == ["gate", "backend", "pass", "error", "rows"]
+
+
 @pytest.mark.parametrize(
     "argv,cfg,line",
     [

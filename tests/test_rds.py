@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -345,10 +346,13 @@ def test_cnot_gate_truth_table(calibrated):
 
 
 def test_calibration_fails_without_sh_coupling():
+    # calibration returns zero thresholds; reading either channel fails
     p = rds.CoupledModeParams(0.0, 1.0, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
     grid = rds.default_grid(rds.default_params(), n_domains=10)
-    with pytest.raises(rds.CalibrationError):
-        rds.calibrate_thresholds(grid, p, 0.1)
+    cal = rds.calibrate_thresholds(grid, p, 0.1)
+    for inputs in ((0,), (0, 0)):
+        with pytest.raises(rds.CalibrationError):
+            rds.calibrated_gate(inputs, cal)
 
 
 def test_calibration_rejects_nonpositive_amplitude(calibrated):
@@ -376,25 +380,24 @@ def test_cnot_needs_sfg_coupling(calibrated):
     # without SFG the third harmonic stays dark for every pump
     _, grid, _ = calibrated
     p = rds.CoupledModeParams(1.0, 0.0, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
+    cal = rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
     with pytest.raises(rds.CalibrationError, match=r"TH bright=0\.000e\+00 dark=0\.000e\+00"):
-        rds.calibrate_thresholds(grid, p, rds.DEFAULT_BEAM_AMPLITUDE)
+        rds.calibrated_gate((0, 0), cal)
 
 
 @pytest.mark.parametrize("params,amplitude", [((1.0, 0.0), 0.1), ((1.0, 1.0), 1e-51)], ids=["no-sfg", "th-underflows"])
 def test_not_calibration_needs_only_the_sh_channel(params, amplitude):
     p = rds.CoupledModeParams(*params, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
     grid = rds.default_grid(p)
-    with pytest.raises(rds.CalibrationError):
-        rds.calibrate_thresholds(grid, p, amplitude)
-    with pytest.raises(rds.CalibrationError):
-        rds.calibrate_thresholds(grid, p, amplitude, gates=("CNOT",))
-    cal = rds.calibrate_thresholds(grid, p, amplitude, gates=("NOT",))
+    cal = rds.calibrate_thresholds(grid, p, amplitude)
     # the TH channel has no threshold: its separation is 0, not (0 / 0) ** 2
     assert cal.p_th3 == 0.0 and cal.separation_th == 0.0
     assert all(math.isfinite(x) for x in vars(cal).values())
     assert {(x,): rds.calibrated_gate((x,), cal) for x in (0, 1)} == cli.NOT_TABLE
-    with pytest.raises(rds.CalibrationError, match="TH threshold is 0"):
-        rds.calibrated_gate((1, 0), cal)
+    levels = f"SH bright={cal.p2:.3e} dark=0.000e+00, TH bright={cal.p3:.3e} dark=0.000e+00"
+    for inputs in cli.CNOT_TABLE:
+        with pytest.raises(rds.CalibrationError, match=f"^logic levels not separable: {re.escape(levels)}$"):
+            rds.calibrated_gate(inputs, cal)
 
 
 def test_manley_drift_does_not_depend_on_the_batch_width():
@@ -421,14 +424,18 @@ def test_manley_drift_does_not_depend_on_the_batch_width():
 @pytest.mark.parametrize("kappa_b", [1.0, 1e-3])
 def test_tiny_beams_read_the_right_table_or_fail_calibration(kappa_b):
     # the bright levels fall as A^4 (SH) and A^6 (TH) down to 0; a threshold
-    # that underflowed to 0 would read the dark level 0 as bright
+    # that underflowed to 0 would read the dark level 0 as bright, so the
+    # read of a channel with a zero threshold raises instead
     p = rds.CoupledModeParams(1.0, kappa_b, 2 * math.pi * 1e3, 2 * math.pi * 1e3)
     grid = rds.default_grid(p)
     calibrated = 0
     for k in range(81):
+        cal = rds.calibrate_thresholds(grid, p, 10.0**-k)
         try:
-            cal = rds.calibrate_thresholds(grid, p, 10.0**-k)
+            not_table = {(x,): rds.calibrated_gate((x,), cal) for x in (0, 1)}
+            cnot_table = {x: rds.calibrated_gate(x, cal) for x in cli.CNOT_TABLE}
         except rds.CalibrationError:
+            assert min(cal.p_th2, cal.p_th3) == 0.0, k
             final = rds.propagate_many([(rds.FieldTriple(2 * 10.0**-k, 0.0, 0.0), grid, p)])[0]
             assert np.min(np.abs(final[1:, 0]) ** 2) < 2.5e-309, k
             continue
@@ -436,8 +443,8 @@ def test_tiny_beams_read_the_right_table_or_fail_calibration(kappa_b):
         assert 0.0 < cal.p_th2 <= cal.p2 and 0.0 < cal.p_th3 <= cal.p3, k
         assert min(cal.separation_sh, cal.separation_th) >= 2.0, k
         assert max(cal.separation_sh, cal.separation_th) < 5e30, k
-        assert {(x,): rds.calibrated_gate((x,), cal) for x in (0, 1)} == cli.NOT_TABLE, k
-        assert {x: rds.calibrated_gate(x, cal) for x in cli.CNOT_TABLE} == cli.CNOT_TABLE, k
+        assert not_table == cli.NOT_TABLE, k
+        assert cnot_table == cli.CNOT_TABLE, k
     # the TH level underflows to a zero threshold below A of about 3e-51
     assert calibrated >= 40
 
